@@ -17,7 +17,6 @@ from .symbols import (
     check_ellipticity,
     check_symmetry,
     estimate_kappa,
-    eval_symbol,
     volume_preimage,
 )
 from .operators import (
@@ -65,7 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryTube", "Disk", "PhaseGrid", "Rectangle", "SymbolSpec", "TrigPoly",
     "catalog_symbol", "check_ellipticity", "check_symmetry", "estimate_kappa",
-    "eval_symbol", "volume_preimage",
+    "volume_preimage",
     "GridParams", "OperatorMatrix", "assemble_differential",
     "assemble_multiplier", "assemble_toroidal_pdo", "hs_norm",
     "PerturbationPlan", "RandomPotential", "build_perturbed", "derive_params",

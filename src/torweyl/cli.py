@@ -1,12 +1,14 @@
 """Command-line front door.
 
-Subcommands parse a flat key = value config file (dotted keys, unknown keys
-rejected), apply flag overrides, and write reports and plot data under the
-output directory.  All randomness flows from seeds in the config or flags;
-nothing is ever seeded from the clock, so equal invocations write equal
-bytes.
+Subcommands parse a flat key = value config file (dotted keys) and write
+reports and plot data under the output directory.  Each subcommand declares
+its keys once, in a table of ``Key`` entries; unknown keys, value parsing,
+flag overrides and defaults all follow from that table.  All randomness
+flows from seeds in the config or flags; nothing is ever seeded from the
+clock, so equal invocations write equal bytes.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure.
+Exit codes: 0 success, 2 config error (including out-of-range or non-finite
+values and a repeated --h on a single-h command), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -24,6 +28,7 @@ from .experiments import (
     ExperimentConfig,
     InvalidConfigError,
     ResolutionError,
+    config_object,
     line_count_in_region,
     line_model_check,
     run_ensemble,
@@ -32,6 +37,7 @@ from .operators import (
     GridParams,
     GuardError,
     assemble_differential,
+    truncation_grid,
 )
 from .perturbation import (
     ParameterError,
@@ -57,11 +63,11 @@ from .symbols import (
     Disk,
     PhaseGrid,
     Rectangle,
-    SymbolSpec,
     TrigPoly,
     catalog_symbol,
     certified_xi_bound,
     estimate_kappa,
+    kappa_floor,
     volume_preimage,
 )
 
@@ -106,141 +112,142 @@ def parse_config(path: Path) -> dict[str, tuple[str, int]]:
     return out
 
 
-def check_keys(cfg: dict, allowed: set[str]) -> None:
-    for key, (_, lineno) in cfg.items():
-        if key not in allowed:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+REQUIRED = object()
 
 
-def _get(cfg, key, default=None, required=False):
-    if key in cfg:
-        return cfg[key][0]
-    if required:
-        raise ConfigError(f"missing required key {key!r}")
-    return default
+@dataclass(frozen=True)
+class Key:
+    """One config key of a subcommand.
+
+    ``parse`` turns the value text into a value (raising ValueError or
+    KeyError on bad text),
+    ``default`` is used when the key is absent (REQUIRED makes it an error),
+    ``flag`` names the command-line option that overrides the key, and
+    ``field`` the ExperimentConfig field the key fills.  An absent key with
+    a field is left out, so the dataclass default applies.
+    """
+
+    parse: Callable[[str], Any]
+    default: Any = None
+    flag: str | None = None
+    field: str | None = None
 
 
-def get_float(cfg, key, default=None, required=False):
-    val = _get(cfg, key, default=None, required=required)
-    if val is None:
-        return default
-    try:
-        return float(val)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a number: {val!r}") from exc
-
-
-def get_int(cfg, key, default=None, required=False):
-    val = _get(cfg, key, default=None, required=required)
-    if val is None:
-        return default
-    try:
-        return int(val)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not an integer: {val!r}") from exc
-
-
-def get_floats(cfg, key, default=(), required=False):
-    val = _get(cfg, key, default=None, required=required)
-    if val is None:
-        return tuple(default)
-    try:
-        return tuple(float(tok) for tok in val.split())
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a number list: {val!r}") from exc
-
-
-def get_str(cfg, key, default=None, required=False):
-    return _get(cfg, key, default=default, required=required)
-
-
-def get_rational(cfg, key, default=None, required=False):
-    """A numeric or fraction-literal value, passed through as a string."""
-    val = _get(cfg, key, default=None, required=required)
-    if val is None:
-        return default
-    try:
-        Fraction(val)
-    except (ValueError, ZeroDivisionError) as exc:
-        lineno = cfg[key][1]
-        raise ConfigError(
-            f"key {key!r} (line {lineno}): not a number: {val!r}") from exc
+def finite(raw: str) -> float:
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError(f"not a finite number: {raw!r}")
     return val
 
 
-def get_bool(cfg, key, default=False):
-    val = _get(cfg, key)
-    if val is None:
-        return default
-    if val in ("0", "false", "no"):
+def finite_list(raw: str) -> tuple[float, ...]:
+    return tuple(finite(tok) for tok in raw.split())
+
+
+def rational(raw: str) -> str:
+    """A number or fraction literal, passed on as text for exact arithmetic."""
+    Fraction(raw)
+    return raw
+
+
+def boolean(raw: str) -> bool:
+    if raw in ("0", "false", "no"):
         return False
-    if val in ("1", "true", "yes"):
+    if raw in ("1", "true", "yes"):
         return True
-    raise ConfigError(f"key {key!r}: expected a boolean, got {val!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-# ---------------------------------------------------------------------------
-# object builders
-# ---------------------------------------------------------------------------
-
-def build_symbol(cfg) -> SymbolSpec:
-    model = get_str(cfg, "symbol.model")
-    file = get_str(cfg, "symbol.file")
-    if model and file:
-        raise ConfigError("give symbol.model or symbol.file, not both")
-    if model:
-        try:
-            return catalog_symbol(model)
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
-    if file:
-        path = Path(file)
-        if not path.exists():
-            raise ConfigError(f"symbol file not found: {path}")
-        return serialize.loads_symbol(path.read_text())
-    raise ConfigError("missing symbol.model or symbol.file")
+def auto_or(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    return lambda raw: "auto" if raw == "auto" else parse(raw)
 
 
-def build_region(cfg, prefix: str, required=True):
-    rect = get_floats(cfg, f"{prefix}.rect")
-    disk = get_floats(cfg, f"{prefix}.disk")
-    if rect and disk:
-        raise ConfigError(f"give {prefix}.rect or {prefix}.disk, not both")
-    if rect:
-        if len(rect) != 4:
-            raise ConfigError(f"{prefix}.rect needs 4 numbers, got {len(rect)}")
-        return Rectangle(*rect)
-    if disk:
-        if len(disk) != 3:
-            raise ConfigError(f"{prefix}.disk needs 3 numbers (re im radius)")
-        return Disk(complex(disk[0], disk[1]), disk[2])
-    if required:
-        raise ConfigError(f"missing {prefix}.rect or {prefix}.disk")
-    return None
+def tau0(raw: str) -> float | None:
+    return None if raw == "sqrt_h" else finite(raw)
 
 
-def build_trig_poly(cfg, key, required=True) -> TrigPoly | None:
-    flat = get_floats(cfg, key)
-    if not flat:
-        if required:
-            raise ConfigError(f"missing {key} (flat k re im triples)")
-        return None
-    if len(flat) % 3 != 0:
-        raise ConfigError(f"{key}: expected k re im triples")
-    coeffs = {}
-    for i in range(0, len(flat), 3):
-        coeffs[int(flat[i])] = complex(flat[i + 1], flat[i + 2])
-    return TrigPoly(coeffs)
+def symbol_file(raw: str):
+    path = Path(raw)
+    if not path.exists():
+        raise ValueError(f"symbol file not found: {path}")
+    return serialize.loads_symbol(path.read_text())
 
 
-def _tau0_value(cfg, key="plan.tau0"):
-    raw = get_str(cfg, key, default="sqrt_h")
-    if raw == "sqrt_h":
-        return None
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected a number or sqrt_h") from exc
+def numbers(raw: str, names: str) -> tuple[float, ...]:
+    """Exactly one finite number per name in ``names``."""
+    vals = finite_list(raw)
+    if len(vals) != len(names.split()):
+        raise ValueError(f"needs {len(names.split())} numbers ({names}), "
+                         f"got {len(vals)}")
+    return vals
+
+
+def rectangle(raw: str) -> Rectangle:
+    return Rectangle(*numbers(raw, "re_lo re_hi im_lo im_hi"))
+
+
+def disk(raw: str) -> Disk:
+    re, im, radius = numbers(raw, "re im radius")
+    return Disk(complex(re, im), radius)
+
+
+def point(raw: str) -> complex:
+    return complex(*numbers(raw, "re im"))
+
+
+def trig_poly(raw: str) -> TrigPoly:
+    flat = finite_list(raw)
+    if not flat or len(flat) % 3 != 0:
+        raise ValueError("expected flat k re im triples")
+    return TrigPoly({int(flat[i]): complex(flat[i + 1], flat[i + 2])
+                     for i in range(0, len(flat), 3)})
+
+
+SYMBOL = {"symbol.model": Key(catalog_symbol), "symbol.file": Key(symbol_file)}
+REGION = {"region.rect": Key(rectangle), "region.disk": Key(disk)}
+OMEGA = {"omega.rect": Key(rectangle), "omega.disk": Key(disk)}
+
+
+def read_keys(cfg: dict, table: dict[str, Key], args) -> dict[str, Any]:
+    """The config's values by key, parsed, overridden by flags, defaulted."""
+    for name, (_, lineno) in cfg.items():
+        if name not in table:
+            raise ConfigError(f"line {lineno}: unknown key {name!r}")
+    out: dict[str, Any] = {}
+    for name, key in table.items():
+        if name in cfg:
+            raw, lineno = cfg[name]
+            try:
+                out[name] = key.parse(raw)
+            except (ValueError, KeyError, ZeroDivisionError) as exc:
+                raise ConfigError(f"line {lineno}: key {name!r}: {exc}") from exc
+        flag = getattr(args, key.flag) if key.flag else None
+        if isinstance(flag, list):          # --h, the one repeatable flag
+            if key.parse is finite_list:
+                flag = tuple(flag)
+            elif len(flag) > 1:
+                raise ConfigError(
+                    f"--h given {len(flag)} times, but {name} takes one h")
+            else:
+                flag = flag[0]
+        if flag is not None:
+            out[name] = flag
+        elif name not in out:
+            if key.default is REQUIRED:
+                raise ConfigError(f"missing required key {name!r}")
+            if key.field is None:
+                out[name] = key.default
+    return out
+
+
+def one_of(values: dict, first: str, second: str, required: bool = True):
+    """The value of whichever of two alternative keys is given."""
+    a, b = values[first], values[second]
+    if a is not None and b is not None:
+        raise ConfigError(f"give {first} or {second}, not both")
+    if a is None and b is None and required:
+        raise ConfigError(f"missing {first} or {second}")
+    return a if a is not None else b
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
@@ -252,27 +259,22 @@ def _write(out_dir: Path, name: str, text: str) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-_PLAN_KEYS = {"plan.n", "plan.s", "plan.epsilon", "plan.kappa", "plan.h",
-              "plan.tau0", "plan.mode", "plan.delta_eff", "plan.l_cap"}
+# the plan.* key names are derive_params' parameter names
+DERIVE_PARAMS = {
+    "plan.n": Key(int, 1),
+    "plan.s": Key(rational, REQUIRED),
+    "plan.epsilon": Key(rational, REQUIRED),
+    "plan.kappa": Key(rational, REQUIRED),
+    "plan.h": Key(finite, REQUIRED, flag="h"),
+    "plan.tau0": Key(tau0),
+    "plan.mode": Key(str, "derived", flag="mode"),
+    "plan.delta_eff": Key(finite, flag="delta_eff"),
+    "plan.l_cap": Key(finite),
+}
 
 
-def cmd_derive_params(cfg, out_dir: Path, args) -> int:
-    check_keys(cfg, _PLAN_KEYS)
-    h = args.h[0] if args.h else get_float(cfg, "plan.h", required=True)
-    mode = args.mode or get_str(cfg, "plan.mode", default="derived")
-    delta_eff = (args.delta_eff if args.delta_eff is not None
-                 else get_float(cfg, "plan.delta_eff"))
-    plan = derive_params(
-        n=get_int(cfg, "plan.n", default=1),
-        s=get_rational(cfg, "plan.s", required=True),
-        epsilon=get_rational(cfg, "plan.epsilon", required=True),
-        kappa=get_rational(cfg, "plan.kappa", required=True),
-        h=h,
-        tau0=_tau0_value(cfg),
-        mode=mode,
-        delta_eff=delta_eff,
-        l_cap=get_float(cfg, "plan.l_cap"),
-    )
+def cmd_derive_params(v: dict, out_dir: Path) -> int:
+    plan = derive_params(**{name[len("plan."):]: val for name, val in v.items()})
     d = plan.as_dict()
     for key in ("M_float", "M_tilde_float", "N1_float", "L", "R", "D",
                 "delta", "eps0", "mode"):
@@ -283,19 +285,24 @@ def cmd_derive_params(cfg, out_dir: Path, args) -> int:
     return EXIT_OK
 
 
-_VOLUME_KEYS = {"symbol.model", "symbol.file", "region.rect", "region.disk",
-                "grid.n_x", "grid.n_xi", "volume.h", "kappa.z", "kappa.t_lo",
-                "kappa.t_hi", "kappa.points_n"}
+VOLUME = {
+    **SYMBOL, **REGION,
+    "grid.n_x": Key(int, 1024),
+    "grid.n_xi": Key(int, 1024),
+    "volume.h": Key(finite, flag="h"),
+    "kappa.z": Key(point),
+    "kappa.t_lo": Key(finite, 1e-4),
+    "kappa.t_hi": Key(finite, 1e-1),
+    "kappa.points_n": Key(int, 8),
+}
 
 
-def cmd_volume(cfg, out_dir: Path, args) -> int:
-    check_keys(cfg, _VOLUME_KEYS)
-    spec = build_symbol(cfg)
-    region = build_region(cfg, "region")
-    n_x = get_int(cfg, "grid.n_x", default=1024)
-    n_xi = get_int(cfg, "grid.n_xi", default=1024)
+def cmd_volume(v: dict, out_dir: Path) -> int:
+    spec = one_of(v, "symbol.model", "symbol.file")
+    region = one_of(v, "region.rect", "region.disk")
+    n_x, n_xi = v["grid.n_x"], v["grid.n_xi"]
     bound = certified_xi_bound(spec, region)
-    grid = PhaseGrid(n_x=n_x, xi_lo=-bound, xi_hi=bound, n_xi=n_xi)
+    grid = config_object(PhaseGrid, n_x=n_x, xi_lo=-bound, xi_hi=bound, n_xi=n_xi)
     vol = volume_preimage(spec, region, grid)
     payload = {
         "schema": "torweyl.volume.v1",
@@ -307,23 +314,16 @@ def cmd_volume(cfg, out_dir: Path, args) -> int:
         "volume": vol,
     }
     print(f"volume = {vol!r}")
-    h = args.h[0] if args.h else get_float(cfg, "volume.h")
+    h = v["volume.h"]
     if h is not None:
         pred = vol / (2.0 * math.pi * h)
         payload["h"] = h
         payload["prediction"] = pred
         print(f"prediction = {pred!r} at h = {h!r}")
-    z_pair = get_floats(cfg, "kappa.z")
-    if z_pair:
-        if len(z_pair) != 2:
-            raise ConfigError("kappa.z needs two numbers (re im)")
-        z = complex(*z_pair)
-        kap, r2 = estimate_kappa(
-            spec, z,
-            t_lo=get_float(cfg, "kappa.t_lo", default=1e-4),
-            t_hi=get_float(cfg, "kappa.t_hi", default=1e-1),
-            n_points=get_int(cfg, "kappa.points_n", default=8),
-        )
+    z = v["kappa.z"]
+    if z is not None:
+        kap, r2 = estimate_kappa(spec, z, t_lo=v["kappa.t_lo"],
+                                 t_hi=v["kappa.t_hi"], n_points=v["kappa.points_n"])
         payload["kappa_hat"] = kap
         payload["kappa_r2"] = r2
         print(f"kappa_hat = {kap!r} (r2 = {r2!r}) at z = {z}")
@@ -331,54 +331,47 @@ def cmd_volume(cfg, out_dir: Path, args) -> int:
     return EXIT_OK
 
 
-_SPECTRUM_KEYS = {"symbol.model", "symbol.file", "region.rect", "region.disk",
-                  "grid.h", "grid.k_rule", "perturb.mode", "perturb.delta_eff",
-                  "perturb.seed", "perturb.s", "perturb.epsilon",
-                  "perturb.kappa", "pseudospec.enabled", "pseudospec.n_re",
-                  "pseudospec.n_im"}
+SPECTRUM = {
+    **SYMBOL, **REGION,
+    "grid.h": Key(finite, REQUIRED, flag="h"),
+    "grid.k_rule": Key(auto_or(int), "auto"),
+    "perturb.mode": Key(str, "effective", flag="mode"),
+    "perturb.delta_eff": Key(finite, 1e-12, flag="delta_eff"),
+    "perturb.seed": Key(int, flag="seed"),
+    "perturb.s": Key(rational, "2"),
+    "perturb.epsilon": Key(rational, "0.5"),
+    "perturb.kappa": Key(rational),         # absent: the floor 1/(2m)
+    "pseudospec.enabled": Key(boolean, True),
+    "pseudospec.n_re": Key(int, 40),
+    "pseudospec.n_im": Key(int, 20),
+}
 
 
-def cmd_spectrum(cfg, out_dir: Path, args) -> int:
-    check_keys(cfg, _SPECTRUM_KEYS)
-    spec = build_symbol(cfg)
-    region = build_region(cfg, "region")
-    h = args.h[0] if args.h else get_float(cfg, "grid.h", required=True)
-    k_rule = get_str(cfg, "grid.k_rule", default="auto")
+def cmd_spectrum(v: dict, out_dir: Path) -> int:
+    spec = one_of(v, "symbol.model", "symbol.file")
+    region = one_of(v, "region.rect", "region.disk")
+    h = v["grid.h"]
     bound = certified_xi_bound(spec, region)
-    if k_rule == "auto":
-        K = int(math.ceil(1.5 * bound / h))
-    else:
-        try:
-            K = int(k_rule)
-        except ValueError as exc:
-            raise ConfigError(
-                f"grid.k_rule must be auto or an integer, got {k_rule!r}"
-            ) from exc
-    grid = GridParams(h=h, K=K)
+    grid = config_object(truncation_grid, h, bound, v["grid.k_rule"])
     P = assemble_differential(spec, grid)
     tag = f"{h:g}"
     spectrum = eigenvalues(P)
     _write(out_dir, f"eigs_{tag}_base.csv", serialize.eigs_csv(spectrum.eigenvalues))
     payload = {
         "schema": "torweyl.spectrum.v1",
-        "h": h, "K": K, "N": grid.N,
+        "h": h, "K": grid.K, "N": grid.N,
         "max_residual_base": spectrum.max_residual,
     }
-    seed = get_int(cfg, "perturb.seed")
-    mode = args.mode or get_str(cfg, "perturb.mode", default="effective")
+    seed = v["perturb.seed"]
     if seed is not None:
-        delta_eff = (args.delta_eff if args.delta_eff is not None
-                     else get_float(cfg, "perturb.delta_eff", default=1e-12))
+        kappa = v["perturb.kappa"]
         plan = derive_params(
-            n=1,
-            s=get_rational(cfg, "perturb.s", default="2"),
-            epsilon=get_rational(cfg, "perturb.epsilon", default="0.5"),
-            kappa=get_rational(cfg, "perturb.kappa",
-                               default=str(1.0 / (2 * spec.m))),
-            h=h, mode=mode, delta_eff=delta_eff, l_cap=h * K,
+            n=1, s=v["perturb.s"], epsilon=v["perturb.epsilon"],
+            kappa=kappa_floor(spec) if kappa is None else kappa,
+            h=h, mode=v["perturb.mode"], delta_eff=v["perturb.delta_eff"],
+            l_cap=h * grid.K,
         )
-        seed_val = args.seed if args.seed is not None else seed
-        pot = sample_potential(plan, split_seed(seed_val, 0))
+        pot = sample_potential(plan, split_seed(seed, 0))
         perturbed = build_perturbed(P, plan, pot)
         pspec = eigenvalues(perturbed)
         _write(out_dir, f"eigs_{tag}_0.csv", serialize.eigs_csv(pspec.eigenvalues))
@@ -387,9 +380,8 @@ def cmd_spectrum(cfg, out_dir: Path, args) -> int:
         target = perturbed
     else:
         target = P
-    if get_bool(cfg, "pseudospec.enabled", default=True):
-        n_re = get_int(cfg, "pseudospec.n_re", default=40)
-        n_im = get_int(cfg, "pseudospec.n_im", default=20)
+    if v["pseudospec.enabled"]:
+        n_re, n_im = v["pseudospec.n_re"], v["pseudospec.n_im"]
         if isinstance(region, Rectangle):
             res = np.linspace(region.re_lo, region.re_hi, n_re)
             ims = np.linspace(region.im_lo, region.im_hi, n_im)
@@ -406,56 +398,40 @@ def cmd_spectrum(cfg, out_dir: Path, args) -> int:
     return EXIT_OK
 
 
-_WEYL_KEYS = {"symbol.model", "symbol.file", "region.rect", "region.disk",
-              "omega.rect", "omega.disk", "run.h_list", "run.trials_n",
-              "run.master_seed", "run.workers_n", "run.real_potentials",
-              "run.write_eigs", "plan.s", "plan.epsilon", "plan.kappa",
-              "plan.tau0", "plan.mode", "plan.delta_eff", "probes.boundary_n",
-              "probes.tube_r", "report.rel_tol", "report.eps_tilde_factor",
-              "grid.k_rule", "grid.vol_n_x", "grid.vol_n_xi",
-              "omega.clearance"}
+WEYL_ENSEMBLE = {
+    **SYMBOL, **REGION, **OMEGA,
+    "run.h_list": Key(finite_list, REQUIRED, flag="h", field="h_list"),
+    "run.trials_n": Key(int, flag="trials", field="n_trials"),
+    "run.master_seed": Key(int, flag="seed", field="master_seed"),
+    "run.workers_n": Key(int, 1, flag="workers"),
+    "run.real_potentials": Key(boolean, field="real_potentials"),
+    "run.write_eigs": Key(boolean, True),
+    "plan.s": Key(finite, field="s"),
+    "plan.epsilon": Key(finite, field="epsilon"),
+    "plan.kappa": Key(auto_or(lambda raw: float(Fraction(raw))), field="kappa"),
+    "plan.tau0": Key(tau0, field="tau0"),
+    "plan.mode": Key(str, flag="mode", field="mode"),
+    "plan.delta_eff": Key(finite, flag="delta_eff", field="delta_eff"),
+    "probes.boundary_n": Key(int, field="n_probes"),
+    "probes.tube_r": Key(finite, field="tube_r"),
+    "report.rel_tol": Key(finite, field="rel_tol"),
+    "report.eps_tilde_factor": Key(finite, field="eps_tilde_factor"),
+    "grid.k_rule": Key(auto_or(int), field="k_rule"),
+    "grid.vol_n_x": Key(int, field="vol_n_x"),
+    "grid.vol_n_xi": Key(int, field="vol_n_xi"),
+    "omega.clearance": Key(finite, field="omega_clearance"),
+}
 
 
-def cmd_weyl_ensemble(cfg, out_dir: Path, args) -> int:
-    check_keys(cfg, _WEYL_KEYS)
-    spec = build_symbol(cfg)
-    region = build_region(cfg, "region")
-    omega = build_region(cfg, "omega")
-    kappa_raw = get_str(cfg, "plan.kappa", default="auto")
-    if kappa_raw != "auto":
-        get_rational(cfg, "plan.kappa")
-    k_rule_raw = get_str(cfg, "grid.k_rule", default="auto")
-    if k_rule_raw != "auto":
-        get_int(cfg, "grid.k_rule")
+def cmd_weyl_ensemble(v: dict, out_dir: Path) -> int:
     config = ExperimentConfig(
-        spec=spec,
-        region=region,
-        omega=omega,
-        h_list=tuple(args.h) if args.h else get_floats(cfg, "run.h_list",
-                                                       required=True),
-        s=get_float(cfg, "plan.s", default=2.0),
-        epsilon=get_float(cfg, "plan.epsilon", default=0.5),
-        kappa="auto" if kappa_raw == "auto" else float(Fraction(kappa_raw)),
-        tau0=_tau0_value(cfg),
-        mode=args.mode or get_str(cfg, "plan.mode", default="effective"),
-        delta_eff=(args.delta_eff if args.delta_eff is not None
-                   else get_float(cfg, "plan.delta_eff", default=1e-12)),
-        n_trials=(args.trials if args.trials is not None
-                  else get_int(cfg, "run.trials_n", default=20)),
-        master_seed=(args.seed if args.seed is not None
-                     else get_int(cfg, "run.master_seed", default=0)),
-        k_rule="auto" if k_rule_raw == "auto" else int(k_rule_raw),
-        n_probes=get_int(cfg, "probes.boundary_n", default=5),
-        tube_r=get_float(cfg, "probes.tube_r", default=0.05),
-        rel_tol=get_float(cfg, "report.rel_tol", default=0.15),
-        eps_tilde_factor=get_float(cfg, "report.eps_tilde_factor", default=10.0),
-        real_potentials=get_bool(cfg, "run.real_potentials", default=False),
-        vol_n_x=get_int(cfg, "grid.vol_n_x", default=512),
-        vol_n_xi=get_int(cfg, "grid.vol_n_xi", default=512),
-        omega_clearance=get_float(cfg, "omega.clearance", default=0.05),
+        spec=one_of(v, "symbol.model", "symbol.file"),
+        region=one_of(v, "region.rect", "region.disk"),
+        omega=one_of(v, "omega.rect", "omega.disk"),
+        **{WEYL_ENSEMBLE[name].field: val for name, val in v.items()
+           if WEYL_ENSEMBLE[name].field},
     )
-    workers = args.workers or get_int(cfg, "run.workers_n", default=1)
-    report = run_ensemble(config, workers=workers)
+    report = run_ensemble(config, workers=v["run.workers_n"])
     rd = report.as_dict()
     _write(out_dir, "report.json", serialize.json_text(rd))
     _write(out_dir, "trials.csv", serialize.trials_csv(rd))
@@ -463,7 +439,7 @@ def cmd_weyl_ensemble(cfg, out_dir: Path, args) -> int:
         {"schema": "torweyl.params.v1",
          "config": rd["config"],
          "plans": [rec["plan"] for rec in rd["per_h"]]}))
-    if get_bool(cfg, "run.write_eigs", default=True):
+    if v["run.write_eigs"]:
         for rec in report.per_h:
             tag = f"{rec.h:g}"
             if rec.baseline.eigvals is not None:
@@ -484,17 +460,22 @@ def cmd_weyl_ensemble(cfg, out_dir: Path, args) -> int:
     return EXIT_OK
 
 
-_LINE_KEYS = {"line.g_coeffs", "line.h", "line.k_max", "line.grid_K",
-              "line.delta", "line.q_coeffs", "line.seed", "line.trials_n",
-              "region.rect", "region.disk"}
+LINE_CHECK = {
+    **REGION,
+    "line.g_coeffs": Key(trig_poly, REQUIRED),
+    "line.h": Key(finite, 0.1, flag="h"),
+    "line.k_max": Key(int, 5),
+    "line.grid_K": Key(int, 96),
+    "line.delta": Key(finite, 0.0),
+    "line.q_coeffs": Key(trig_poly),
+    "line.seed": Key(int, 0, flag="seed"),
+    "line.trials_n": Key(int, 1),
+}
 
 
-def cmd_line_check(cfg, out_dir: Path, args) -> int:
-    check_keys(cfg, _LINE_KEYS)
-    g = build_trig_poly(cfg, "line.g_coeffs", required=True)
-    h = args.h[0] if args.h else get_float(cfg, "line.h", default=0.1)
-    k_max = get_int(cfg, "line.k_max", default=5)
-    grid = GridParams(h=h, K=get_int(cfg, "line.grid_K", default=96))
+def cmd_line_check(v: dict, out_dir: Path) -> int:
+    g, h, k_max = v["line.g_coeffs"], v["line.h"], v["line.k_max"]
+    grid = config_object(GridParams, h=h, K=v["line.grid_K"])
     result = line_model_check(g, h, k_max, grid)
     payload = {
         "schema": "torweyl.linecheck.v1",
@@ -509,15 +490,13 @@ def cmd_line_check(cfg, out_dir: Path, args) -> int:
     }
     print(f"line Im z = {result.line_im!r}; "
           f"max quasimode residual = {float(np.max(result.residuals)):.3e}")
-    delta = get_float(cfg, "line.delta", default=0.0)
-    region = build_region(cfg, "region", required=False)
+    delta = v["line.delta"]
+    region = one_of(v, "region.rect", "region.disk", required=False)
     if delta:
-        q = build_trig_poly(cfg, "line.q_coeffs", required=False)
-        trials = get_int(cfg, "line.trials_n", default=1)
-        seed = args.seed if args.seed is not None else get_int(
-            cfg, "line.seed", default=0)
+        q = v["line.q_coeffs"]
+        trials = v["line.trials_n"]
         shifted, counts = [], []
-        rng_keys = [split_seed(seed, i) for i in range(trials)]
+        rng_keys = [split_seed(v["line.seed"], i) for i in range(trials)]
         for key in rng_keys:
             if q is None:
                 rng = np.random.Generator(np.random.Philox(key=key))
@@ -545,8 +524,13 @@ def cmd_line_check(cfg, out_dir: Path, args) -> int:
     return EXIT_OK
 
 
-_IDENTITY_KEYS = {"checks.master_seed", "checks.det_trials_n",
-                  "checks.det_dim", "checks.fu_trials_n", "checks.fu_dim"}
+IDENTITY_CHECKS = {
+    "checks.master_seed": Key(int, 0, flag="seed"),
+    "checks.det_trials_n": Key(int, 50),
+    "checks.det_dim": Key(int, 20),
+    "checks.fu_trials_n": Key(int, 20),
+    "checks.fu_dim": Key(int, 50),
+}
 
 
 def _random_matrix(rng, n, smallest_sv=None):
@@ -559,14 +543,10 @@ def _random_matrix(rng, n, smallest_sv=None):
     return u @ np.diag(sv) @ vh
 
 
-def cmd_identity_checks(cfg, out_dir: Path, args) -> int:
-    check_keys(cfg, _IDENTITY_KEYS)
-    master = (args.seed if args.seed is not None
-              else get_int(cfg, "checks.master_seed", default=0))
-    det_trials = get_int(cfg, "checks.det_trials_n", default=50)
-    det_dim = get_int(cfg, "checks.det_dim", default=20)
-    fu_trials = get_int(cfg, "checks.fu_trials_n", default=20)
-    fu_dim = get_int(cfg, "checks.fu_dim", default=50)
+def cmd_identity_checks(v: dict, out_dir: Path) -> int:
+    master = v["checks.master_seed"]
+    det_trials, det_dim = v["checks.det_trials_n"], v["checks.det_dim"]
+    fu_trials, fu_dim = v["checks.fu_trials_n"], v["checks.fu_dim"]
 
     results = []
     rng = np.random.Generator(np.random.Philox(key=split_seed(master, 1)))
@@ -631,13 +611,13 @@ def cmd_identity_checks(cfg, out_dir: Path, args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-_COMMANDS = {
-    "derive-params": cmd_derive_params,
-    "volume": cmd_volume,
-    "spectrum": cmd_spectrum,
-    "weyl-ensemble": cmd_weyl_ensemble,
-    "line-check": cmd_line_check,
-    "identity-checks": cmd_identity_checks,
+COMMANDS: dict[str, tuple[Callable[[dict, Path], int], dict[str, Key]]] = {
+    "derive-params": (cmd_derive_params, DERIVE_PARAMS),
+    "volume": (cmd_volume, VOLUME),
+    "spectrum": (cmd_spectrum, SPECTRUM),
+    "weyl-ensemble": (cmd_weyl_ensemble, WEYL_ENSEMBLE),
+    "line-check": (cmd_line_check, LINE_CHECK),
+    "identity-checks": (cmd_identity_checks, IDENTITY_CHECKS),
 }
 
 
@@ -647,16 +627,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral experiments for randomly perturbed operators "
                     "on the torus",
     )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
+    parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="key = value file")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--h", type=float, action="append",
+    parser.add_argument("--h", type=finite, action="append",
                         help="override h (repeatable for h lists)")
     parser.add_argument("--seed", type=int, help="override the master seed")
     parser.add_argument("--trials", type=int, help="override the trial count")
     parser.add_argument("--mode", choices=("derived", "effective"),
                         help="override the perturbation mode")
-    parser.add_argument("--delta-eff", type=float, dest="delta_eff",
+    parser.add_argument("--delta-eff", type=finite, dest="delta_eff",
                         help="override the effective perturbation weight")
     parser.add_argument("--workers", type=int, help="worker threads")
     return parser
@@ -664,9 +644,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run, table = COMMANDS[args.command]
     try:
-        cfg = parse_config(Path(args.config))
-        return _COMMANDS[args.command](cfg, Path(args.out), args)
+        values = read_keys(parse_config(Path(args.config)), table, args)
+        return run(values, Path(args.out))
     except (ConfigError, *_CONFIG_ERRORS) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

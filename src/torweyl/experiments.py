@@ -13,7 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ from .operators import (
     assemble_toroidal_pdo,
     find_shifted_symbol,
     make_lifted_symbol,
+    truncation_grid,
 )
 from .perturbation import (
     PerturbationPlan,
@@ -45,7 +46,6 @@ from .spectral import (
 from .symbols import (
     TWO_PI,
     BoundaryTube,
-    Disk,
     PhaseGrid,
     Rectangle,
     Region,
@@ -55,6 +55,7 @@ from .symbols import (
     check_ellipticity,
     check_symmetry,
     distance_to_samples,
+    kappa_floor,
     range_samples,
     volume_preimage,
 )
@@ -99,51 +100,44 @@ class ExperimentConfig:
     omega_clearance: float = 0.05
 
     def resolved_kappa(self) -> float:
-        if self.kappa == "auto":
-            return 1.0 / (2.0 * self.spec.m)
-        return float(self.kappa)
+        return kappa_floor(self.spec) if self.kappa == "auto" else float(self.kappa)
 
     def as_dict(self) -> dict:
         from . import serialize
 
-        return {
-            "symbol": serialize.dumps_symbol(self.spec),
-            "region": serialize.dumps_region(self.region),
-            "omega": serialize.dumps_region(self.omega),
-            "h_list": list(self.h_list),
-            "s": self.s,
-            "epsilon": self.epsilon,
-            "kappa": "auto" if self.kappa == "auto" else float(self.kappa),
-            "kappa_resolved": self.resolved_kappa(),
-            "tau0": self.tau0,
-            "mode": self.mode,
-            "delta_eff": self.delta_eff,
-            "n_trials": self.n_trials,
-            "master_seed": self.master_seed,
-            "k_rule": self.k_rule,
-            "z_probes": None if self.z_probes is None
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "spec"}
+        out.update(
+            symbol=serialize.dumps_symbol(self.spec),
+            region=serialize.dumps_region(self.region),
+            omega=serialize.dumps_region(self.omega),
+            kappa="auto" if self.kappa == "auto" else float(self.kappa),
+            kappa_resolved=self.resolved_kappa(),
+            z_probes=None if self.z_probes is None
             else [[z.real, z.imag] for z in self.z_probes],
-            "n_probes": self.n_probes,
-            "tube_r": self.tube_r,
-            "rel_tol": self.rel_tol,
-            "eps_tilde_factor": self.eps_tilde_factor,
-            "real_potentials": self.real_potentials,
-            "require_symmetry": self.require_symmetry,
-            "vol_n_x": self.vol_n_x,
-            "vol_n_xi": self.vol_n_xi,
-            "omega_clearance": self.omega_clearance,
-        }
+        )
+        return out
 
 
-def _region_probe_mesh(region: Region, n: int = 64) -> np.ndarray:
-    if isinstance(region, (Rectangle, Disk)):
-        return region.boundary_points(n)
-    return region.base.boundary_points(n)
+def config_object(ctor, *args, **kwargs):
+    """``ctor(*args, **kwargs)`` on configured values; a ValueError the
+    constructor raises for a bad value becomes InvalidConfigError."""
+    try:
+        return ctor(*args, **kwargs)
+    except ValueError as exc:
+        raise InvalidConfigError(str(exc)) from exc
+
+
+def boundary_probes(region: Region, n: int) -> tuple[complex, ...]:
+    """n points along the boundary of a region (of a tube's base)."""
+    base = region.base if isinstance(region, BoundaryTube) else region
+    return tuple(complex(z) for z in base.boundary_points(n))
 
 
 @dataclass(frozen=True)
 class ValidationInfo:
     xi_bound: float
+    vol_grid: PhaseGrid             # h-independent volume quadrature grid
     warnings: tuple[str, ...]
 
 
@@ -168,17 +162,17 @@ def validate_config(config: ExperimentConfig) -> ValidationInfo:
             "tubes only enter the error-budget ingredients"
         )
     warnings: list[str] = []
-    probe = BoundaryTube(config.region, 2.0 * config.tube_r)
+    probe = config_object(BoundaryTube, config.region, 2.0 * config.tube_r)
     xi_bound = certified_xi_bound(config.spec, probe)
-    grid = PhaseGrid(n_x=config.vol_n_x, xi_lo=-xi_bound, xi_hi=xi_bound,
-                     n_xi=config.vol_n_xi)
+    grid = config_object(PhaseGrid, n_x=config.vol_n_x, xi_lo=-xi_bound,
+                         xi_hi=xi_bound, n_xi=config.vol_n_xi)
 
-    mesh = _region_probe_mesh(config.region, 64)
+    mesh = boundary_probes(config.region, 64)
     if not bool(np.all(config.omega.contains(mesh))):
         raise InvalidConfigError("region is not contained in the declared Omega")
 
     samples = range_samples(config.spec, grid)
-    omega_mesh = _region_probe_mesh(config.omega, 128)
+    omega_mesh = boundary_probes(config.omega, 128)
     dist = distance_to_samples(samples, omega_mesh)
     if float(np.max(dist)) <= config.omega_clearance:
         raise InvalidConfigError(
@@ -186,8 +180,7 @@ def validate_config(config: ExperimentConfig) -> ValidationInfo:
             "it must escape the range somewhere"
         )
 
-    tube_mesh = _region_probe_mesh(config.region, 64)
-    offsets = tube_mesh + 2.0 * config.tube_r * np.exp(
+    offsets = np.asarray(mesh) + 2.0 * config.tube_r * np.exp(
         1j * TWO_PI * np.arange(8) / 8.0
     )[:, None]
     tube_dist = distance_to_samples(samples, offsets.ravel())
@@ -196,12 +189,8 @@ def validate_config(config: ExperimentConfig) -> ValidationInfo:
             "region is within 2r of the sampled range boundary; the tube "
             "volume term in the count bound may be inflated"
         )
-    return ValidationInfo(xi_bound=xi_bound, warnings=tuple(warnings))
-
-
-def default_z_probes(region: Region, n: int) -> tuple[complex, ...]:
-    base = region.base if isinstance(region, BoundaryTube) else region
-    return tuple(complex(z) for z in base.boundary_points(n))
+    return ValidationInfo(xi_bound=xi_bound, vol_grid=grid,
+                          warnings=tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +241,11 @@ class _TrialContext:
     z_probes: tuple[complex, ...]
 
 
-def _grid_for_h(config: ExperimentConfig, h: float, xi_bound: float) -> GridParams:
-    if config.k_rule == "auto":
-        K = int(math.ceil(1.5 * xi_bound / h))
-    else:
-        K = int(config.k_rule)
-    return GridParams(h=h, K=K)
-
-
-def _context_for_h(config: ExperimentConfig, h: float,
-                   info: ValidationInfo) -> _TrialContext:
-    grid = _grid_for_h(config, h, info.xi_bound)
+def _context_for_h(config: ExperimentConfig, h: float, info: ValidationInfo,
+                   volume: float) -> _TrialContext:
+    """Everything one h needs; ``volume`` is vol(p^{-1}(region)), which
+    does not depend on h."""
+    grid = config_object(truncation_grid, h, info.xi_bound, config.k_rule)
     P = assemble_differential(config.spec, grid)
     plan = derive_params(
         n=1,
@@ -275,14 +258,11 @@ def _context_for_h(config: ExperimentConfig, h: float,
         delta_eff=config.delta_eff,
         l_cap=h * grid.K,
     )
-    vol_grid = PhaseGrid(n_x=config.vol_n_x, xi_lo=-info.xi_bound,
-                         xi_hi=info.xi_bound, n_xi=config.vol_n_xi)
-    prediction = weyl_prediction(config.spec, config.region, h, vol_grid)
     probes = (config.z_probes if config.z_probes is not None
-              else default_z_probes(config.region, config.n_probes))
+              else boundary_probes(config.region, config.n_probes))
     return _TrialContext(
         config=config, h=h, grid=grid, P=P, plan=plan,
-        prediction=prediction, z_probes=probes,
+        prediction=volume / (TWO_PI * h), z_probes=probes,
     )
 
 
@@ -353,8 +333,9 @@ def _baseline_trial(ctx: _TrialContext) -> TrialResult:
 def run_trial(config: ExperimentConfig, h: float, trial_index: int) -> TrialResult:
     """One seeded trial, deterministic in (config, h, trial_index)."""
     info = validate_config(config)
-    ctx = _context_for_h(config, h, info)
-    return _run_trial_in_context(ctx, trial_index)
+    volume = volume_preimage(config.spec, config.region, info.vol_grid)
+    return _run_trial_in_context(_context_for_h(config, h, info, volume),
+                                 trial_index)
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +430,17 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> WeylReport:
     """
     if config.n_trials < 1:
         raise InvalidConfigError("n_trials must be at least 1")
+    if workers < 1:
+        raise InvalidConfigError("workers must be at least 1")
     info = validate_config(config)
-    records: list[HRecord] = []
+    # the volumes depend on neither h nor the trial
+    volume = volume_preimage(config.spec, config.region, info.vol_grid)
+    tube_volume = volume_preimage(
+        config.spec, BoundaryTube(config.region, config.tube_r), info.vol_grid)
+    # every h is set up before any trial runs, so a bad h fails fast
+    contexts = [_context_for_h(config, h, info, volume) for h in config.h_list]
     raw: list[tuple[_TrialContext, TrialResult, list[TrialResult]]] = []
-    for h in config.h_list:
-        ctx = _context_for_h(config, h, info)
+    for ctx in contexts:
         baseline = _baseline_trial(ctx)
         indices = list(range(config.n_trials))
         if workers > 1:
@@ -464,16 +451,9 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> WeylReport:
             trials = [_run_trial_in_context(ctx, i) for i in indices]
         raw.append((ctx, baseline, trials))
 
-    # ingredients recomputed per h; the constant is fit at the largest h
-    # and reported, never assumed
-    vol_grid = PhaseGrid(n_x=config.vol_n_x, xi_lo=-info.xi_bound,
-                         xi_hi=info.xi_bound, n_xi=config.vol_n_xi)
+    # the constant is fit at the largest h and reported, never assumed
     h_max = max(config.h_list)
     c_fit = 0.0
-    tube_vols: dict[float, float] = {}
-    for ctx, baseline, trials in raw:
-        tube = BoundaryTube(config.region, config.tube_r)
-        tube_vols[ctx.h] = volume_preimage(config.spec, tube, vol_grid)
     for ctx, baseline, trials in raw:
         if ctx.h == h_max:
             worst = max(
@@ -482,11 +462,12 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> WeylReport:
             )
             eps_tilde = config.eps_tilde_factor * ctx.plan.eps0
             c_fit = _fit_constant(worst, ctx.h, eps_tilde, config.tube_r,
-                                  tube_vols[ctx.h])
+                                  tube_volume)
+    records: list[HRecord] = []
     for ctx, baseline, trials in raw:
         eps_tilde = config.eps_tilde_factor * ctx.plan.eps0
         tau_tol = (_bound_rhs(c_fit, ctx.h, eps_tilde, config.tube_r,
-                              tube_vols[ctx.h]) if c_fit > 0.0 else None)
+                              tube_volume) if c_fit > 0.0 else None)
         ok = [t for t in trials if t.error is None]
         frac_rel = (sum(1 for t in ok if t.relative_error <= config.rel_tol)
                     / len(ok)) if ok else 0.0
@@ -505,7 +486,7 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> WeylReport:
             trials=tuple(trials),
             eps0=ctx.plan.eps0,
             eps_tilde=eps_tilde,
-            tube_volume=tube_vols[ctx.h],
+            tube_volume=tube_volume,
             rel_err_quartiles=_quartiles([t.relative_error for t in ok]),
             success_fraction_rel=frac_rel,
             success_fraction_bound=frac_bound,
@@ -786,8 +767,8 @@ def shifted_symbol_for(spec: SymbolSpec, z_center: complex,
     even though the symbol clears the pointwise guard.  Value bumps are
     tried first, then whole-window frequency lifts, which cannot wind.
     """
-    K = int(math.ceil(1.5 * xi_bound / h))
-    grid = GridParams(h=h, K=K)
+    grid = truncation_grid(h, xi_bound)
+    K = grid.K
     phase = PhaseGrid(n_x=4 * K + 4, xi_lo=-(h * (K + 0.5)),
                       xi_hi=h * (K + 0.5), n_xi=grid.N)
     pts = [complex(z) for z in test_points]

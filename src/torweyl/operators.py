@@ -46,6 +46,18 @@ class GridParams:
         return np.arange(-self.K, self.K + 1)
 
 
+def truncation_grid(h: float, xi_bound: float, k_rule: object = "auto") -> GridParams:
+    """Grid whose frequencies h*k cover 1.5 times a certified |xi| bound.
+
+    ``k_rule`` is "auto" for K = ceil(1.5 * xi_bound / h), or an explicit K.
+    """
+    if k_rule != "auto":
+        return GridParams(h=h, K=int(k_rule))
+    # h <= 0 skips the division and is rejected by GridParams
+    K = int(math.ceil(1.5 * xi_bound / h)) if h > 0 else 1
+    return GridParams(h=h, K=K)
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
     entries: np.ndarray

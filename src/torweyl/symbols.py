@@ -128,7 +128,13 @@ class TrigPoly:
             for k2, c2 in other.coeffs.items():
                 k = k1 + k2
                 out[k] = out.get(k, 0j) + c1 * c2
-        return TrigPoly(out, real=self.real and other.real)
+        real = self.real and other.real
+        if real:
+            # the sums for k and -k round differently; restore exact symmetry
+            out = {k: complex(c.real) if k == 0 else c
+                   for k, c in out.items() if k >= 0}
+            out.update({-k: c.conjugate() for k, c in list(out.items()) if k > 0})
+        return TrigPoly(out, real=real)
 
     def scaled(self, factor: complex) -> "TrigPoly":
         f = complex(factor)
@@ -185,21 +191,8 @@ class SymbolSpec:
             out = out * xi + self.a[alpha](x)
         return out
 
-    def eval_degree_m(self, x, xi):
-        xi = np.asarray(xi, dtype=float)
-        return self.a[self.m](np.asarray(x, dtype=float)) * xi**self.m
-
     def lower_order_sup_bounds(self) -> list[float]:
         return [self.a[alpha].sup_bound() for alpha in range(self.m)]
-
-
-def eval_symbol(spec: SymbolSpec, x, xi, which: str = "principal"):
-    """Evaluate the principal symbol or just its degree-m part."""
-    if which == "principal":
-        return spec.eval_principal(x, xi)
-    if which == "degree-m-part":
-        return spec.eval_degree_m(x, xi)
-    raise ValueError(f"unknown evaluation kind {which!r}")
 
 
 def check_ellipticity(spec: SymbolSpec, x_samples: int = 256) -> tuple[bool, float]:
@@ -500,6 +493,11 @@ def boundary_cell_measure(spec: SymbolSpec, region: Region, grid: PhaseGrid) -> 
     cells = inside[:-1, :-1] | inside[1:, :-1] | inside[:-1, 1:] | inside[1:, 1:]
     full = inside[:-1, :-1] & inside[1:, :-1] & inside[:-1, 1:] & inside[1:, 1:]
     return int(np.count_nonzero(cells & ~full)) * grid.cell_area
+
+
+def kappa_floor(spec: SymbolSpec) -> float:
+    """Universal floor 1/(2m) of the sublevel-volume growth exponent kappa."""
+    return 1.0 / (2.0 * spec.m)
 
 
 def estimate_kappa(spec: SymbolSpec, z: complex, t_lo: float, t_hi: float,

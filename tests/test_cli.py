@@ -5,7 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from torweyl.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from torweyl.cli import (
+    COMMANDS,
+    EXIT_CONFIG,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    build_parser,
+    main,
+    parse_config,
+    read_keys,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -161,3 +170,108 @@ class TestIdentityChecks:
         assert "FAIL" not in out
         payload = json.loads((tmp_path / "identity_checks.json").read_text())
         assert all(c["pass"] for c in payload["checks"])
+
+
+# each shipped config and the subcommand that reads it
+SHIPPED = {
+    "derive_params.cfg": "derive-params",
+    "volume.cfg": "volume",
+    "spectrum.cfg": "spectrum",
+    "weyl_acceptance.cfg": "weyl-ensemble",
+    "weyl_small.cfg": "weyl-ensemble",
+    "line_check.cfg": "line-check",
+    "identity_checks.cfg": "identity-checks",
+}
+
+WEYL_TINY = {
+    "symbol.model": "xi2+exp(ix)",
+    "region.rect": "0.2 0.8 -0.4 0.4",
+    "omega.rect": "-0.2 1.4 -0.9 1.3",
+    "run.h_list": "0.1",
+    "run.trials_n": "1",
+    "grid.vol_n_x": "64",
+    "grid.vol_n_xi": "64",
+}
+VOLUME_TINY = {
+    "symbol.model": "xi+exp(-ix)",
+    "region.rect": "-1 1 0.1 0.9",
+    "grid.n_x": "64",
+    "grid.n_xi": "64",
+}
+
+
+def write_cfg(tmp_path, entries: dict) -> Path:
+    path = tmp_path / "case.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+    return path
+
+
+class TestKeyTables:
+    def test_key_counts(self):
+        counts = {name: len(table) for name, (_, table) in COMMANDS.items()}
+        assert counts == {"derive-params": 9, "volume": 11, "spectrum": 15,
+                          "weyl-ensemble": 26, "line-check": 10,
+                          "identity-checks": 5}
+
+    def test_every_shipped_config_is_listed(self):
+        assert sorted(p.name for p in CONFIGS.glob("*.cfg")) == sorted(SHIPPED)
+
+    @pytest.mark.parametrize("cfg_name, command", sorted(SHIPPED.items()))
+    def test_shipped_config_parses_and_unknown_key_named(
+            self, capsys, tmp_path, cfg_name, command):
+        text = (CONFIGS / cfg_name).read_text()
+        args = build_parser().parse_args([command, "--config", "unused"])
+        cfg = parse_config(CONFIGS / cfg_name)
+        read_keys(cfg, COMMANDS[command][1], args)   # raises on any bad key
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text + "bogus.key = 1\n")
+        lineno = len(text.splitlines()) + 1
+        code, _, err = run(capsys, command, "--config", str(bad),
+                           "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert "bogus.key" in err and f"line {lineno}" in err
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize("command, entries, flags, needle", [
+        ("weyl-ensemble", {**WEYL_TINY, "plan.delta_eff": "nan"}, [],
+         "line 8: key 'plan.delta_eff'"),
+        ("weyl-ensemble", {**WEYL_TINY, "plan.delta_eff": "-inf"}, [],
+         "line 8: key 'plan.delta_eff'"),
+        ("weyl-ensemble", {**WEYL_TINY, "run.h_list": "2"}, [], "h must lie"),
+        ("weyl-ensemble", {**WEYL_TINY, "probes.tube_r": "0"}, [],
+         "tube radius"),
+        ("line-check", None, ["--h", "1.5"], "h must lie"),
+        ("volume", {**VOLUME_TINY, "grid.n_x": "0"}, [], "at least one cell"),
+        ("spectrum", None, ["--h", "0"], "h must lie"),
+    ])
+    def test_exit_config(self, capsys, tmp_path, command, entries, flags,
+                         needle):
+        if entries is None:
+            cfg = CONFIGS / {v: k for k, v in SHIPPED.items()}[command]
+        else:
+            cfg = write_cfg(tmp_path, entries)
+        code, _, err = run(capsys, command, "--config", str(cfg),
+                           "--out", str(tmp_path / "out"), *flags)
+        assert code == EXIT_CONFIG
+        assert needle in err
+
+    @pytest.mark.parametrize("command", ["derive-params", "volume", "spectrum",
+                                         "line-check"])
+    def test_single_h_command_rejects_second_h(self, capsys, tmp_path, command):
+        cfg = CONFIGS / {v: k for k, v in SHIPPED.items()}[command]
+        code, _, err = run(capsys, command, "--config", str(cfg),
+                           "--out", str(tmp_path), "--h", "0.1", "--h", "0.05")
+        assert code == EXIT_CONFIG
+        assert "--h given 2 times" in err
+
+    @pytest.mark.parametrize("entries, flags", [
+        (WEYL_TINY, ["--workers", "0"]),
+        ({**WEYL_TINY, "run.workers_n": "0"}, []),
+    ])
+    def test_worker_count_below_one(self, capsys, tmp_path, entries, flags):
+        code, _, err = run(capsys, "weyl-ensemble",
+                           "--config", str(write_cfg(tmp_path, entries)),
+                           "--out", str(tmp_path / "out"), *flags)
+        assert code == EXIT_CONFIG
+        assert "workers" in err

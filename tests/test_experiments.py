@@ -9,7 +9,7 @@ from torweyl.experiments import (
     ExperimentConfig,
     InvalidConfigError,
     ResolutionError,
-    default_z_probes,
+    boundary_probes,
     ladder_sizes,
     line_count_in_region,
     line_model_check,
@@ -109,7 +109,7 @@ class TestConfigValidation:
 
     def test_default_probes_on_boundary(self):
         region = Rectangle(0.0, 1.0, 0.0, 1.0)
-        probes = default_z_probes(region, 5)
+        probes = boundary_probes(region, 5)
         assert len(probes) == 5
         assert np.allclose(region.boundary_distance(np.array(probes)), 0.0,
                            atol=1e-12)

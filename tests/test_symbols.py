@@ -20,7 +20,6 @@ from torweyl.symbols import (
     check_ellipticity,
     check_symmetry,
     estimate_kappa,
-    eval_symbol,
     sublevel_volumes,
     volume_preimage,
 )
@@ -75,19 +74,11 @@ class TestTrigPoly:
 
 class TestEvalSymbol:
     def test_principal_at_x0_xi1(self):
-        assert eval_symbol(spec_xi2_exp(), 0.0, 1.0) == pytest.approx(2.0)
+        assert spec_xi2_exp().eval_principal(0.0, 1.0) == pytest.approx(2.0)
 
     def test_only_a0_survives_at_xi0(self):
-        val = eval_symbol(spec_xi2_exp(), math.pi / 2, 0.0)
+        val = spec_xi2_exp().eval_principal(math.pi / 2, 0.0)
         assert val == pytest.approx(1j)
-
-    def test_degree_m_part_ignores_lower_orders(self):
-        val = eval_symbol(spec_xi2_exp(), 1.234, 2.0, which="degree-m-part")
-        assert val == pytest.approx(4.0)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            eval_symbol(spec_xi2_exp(), 0.0, 0.0, which="full")
 
 
 class TestStructureChecks:
