@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .symbols import TWO_PI, PhaseGrid, SymbolSpec, TrigPoly
 
@@ -77,11 +78,16 @@ def convolution_matrix(u: TrigPoly, grid: GridParams, *, label: str = "q") -> np
         raise BandwidthError(
             f"coefficient {label} has bandwidth {u.bandwidth} > 2K = {2 * grid.K}"
         )
-    n = grid.N
-    out = np.zeros((n, n), dtype=complex)
+    # first column c_0..c_{N-1}, first row c_0..c_{-(N-1)}; adding into zeros
+    # turns a signed zero part of c into +0, as a sum of shifted identities does
+    col = np.zeros(grid.N, dtype=complex)
+    row = np.zeros(grid.N, dtype=complex)
     for k, c in u.items():
-        out += c * np.eye(n, k=-k)
-    return out
+        if k >= 0:
+            col[k] += c
+        if k <= 0:
+            row[-k] += c
+    return scipy.linalg.toeplitz(col, row)
 
 
 def assemble_differential(spec: SymbolSpec, grid: GridParams) -> OperatorMatrix:

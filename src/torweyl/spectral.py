@@ -176,7 +176,10 @@ def grushin_solve(op, z: complex, n_small: int) -> GrushinSolution:
 
 
 def det_factorization_residual(op, z: complex, n_small: int) -> float:
-    """Relative defect of ln|det(M - z)| = ln|det block| + ln|det corner|."""
+    """Relative defect of ln|det(M - z)| = ln|det block| + ln|det corner|.
+
+    Where ln|det(M - z)| is exactly 0 the absolute defect is returned.
+    """
     if n_small == 0:
         return 0.0
     sol = grushin_solve(op, z, n_small)
@@ -184,7 +187,9 @@ def det_factorization_residual(op, z: complex, n_small: int) -> float:
     lu, _ = scipy.linalg.lu_factor(sol.block_matrix, check_finite=False)
     ld_block = float(np.sum(np.log(np.abs(np.diag(lu)))))
     ld_corner = float(np.linalg.slogdet(sol.e_minus_plus)[1])
-    return abs(ld_full - (ld_block + ld_corner)) / abs(ld_full)
+    defect = abs(ld_full - (ld_block + ld_corner))
+    # ln|det| = 0 leaves nothing to be relative to: report the defect itself
+    return defect / abs(ld_full) if ld_full != 0.0 else defect
 
 
 def coupling_matrix(q: TrigPoly, e_vectors: np.ndarray,
@@ -291,19 +296,75 @@ def spectral_functional(op, chi: BumpFunction, alpha: float, t_probe: float,
     )
 
 
-def pseudospectrum(op, z_grid: Sequence[complex]) -> list[float]:
-    """Smallest singular value of M - z per grid point.
+# inverse iteration for sigma_min(T - z): residual tolerance relative to the
+# Rayleigh quotient, and steps per point before the dense SVD takes over
+PSEUDO_TOL = 1e-10
+PSEUDO_STEPS = 100
 
-    A solver failure at one point is recorded as NaN for that point; the
-    rest of the grid still evaluates.
+
+def pseudospectrum(op, z_grid: Sequence[complex]) -> list[float]:
+    """Smallest singular value of M - z per grid point, from one Schur form.
+
+    Method (EigTool's; Trefethen, Acta Numerica 1999): M is factored once
+    into the complex Schur form M = Z T Z* (LAPACK zgees).  Singular values
+    are unitarily invariant, so sigma_min(M - z) = sigma_min(T - z) and Z is
+    never formed.  For each z the diagonal of T is shifted in place and
+    sigma_min(T - z) = rho^{-1/2} is found by inverse iteration on
+    B = ((T - z)* (T - z))^{-1}: two triangular solves, O(N^2), per step,
+    from a fixed start vector, so the output is a pure function of the
+    input.  A step stops once ||B x - rho x|| <= PSEUDO_TOL * rho, where
+    rho = x* B x and |x| = 1.
+
+    Accuracy: each value agrees with a dense SVD of M - z to within
+    max(1e-10 * sigma_min, N * eps * ||M - z||_2); the second term is the
+    backward error of the Schur form.
+
+    Special cases and failures:
+    - a diagonal entry of T - z that is exactly 0 gives 0.0;
+    - a point whose iteration overflows or does not pass the residual test
+      within PSEUDO_STEPS steps (clustered smallest singular values) is
+      evaluated by a dense SVD of T - z instead, and is NaN if that SVD
+      does not converge;
+    - if the Schur factorization fails (zgees info != 0), every point is NaN.
     """
     a = _as_matrix(op)
-    eye = np.eye(a.shape[0])
+    n = a.shape[0]
+    # the default (minimal) workspace: the optimal one raised peak memory
+    # by more than it saved in time
+    t, _, _, _, _, info = scipy.linalg.lapack.zgees(
+        lambda w: False, a, compute_v=0)
+    if info != 0:
+        return [float("nan") for _ in z_grid]
+    eigs = np.diag(t).copy()
+    on_diag = np.diag_indices(n)
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    start /= np.linalg.norm(start)
     out = []
     for z in z_grid:
-        try:
-            sv = np.linalg.svd(a - z * eye, compute_uv=False)
-            out.append(float(sv[-1]))
-        except np.linalg.LinAlgError:
-            out.append(float("nan"))
+        t[on_diag] = eigs - z
+        out.append(_sigma_min_triangular(t, start))
     return out
+
+
+def _sigma_min_triangular(t: np.ndarray, x: np.ndarray) -> float:
+    """sigma_min of the upper-triangular t; see ``pseudospectrum``."""
+    if np.any(np.diag(t) == 0.0):
+        return 0.0
+    trsv = scipy.linalg.blas.ztrsv
+    for _ in range(PSEUDO_STEPS):
+        y = trsv(t, x, trans=2)                  # (T - z)^{-*} x
+        rho = np.vdot(y, y).real                 # x* B x
+        if not np.isfinite(rho):
+            break
+        bx = trsv(t, y, overwrite_x=1)           # B x
+        resid = np.linalg.norm(bx - rho * x)
+        if resid <= PSEUDO_TOL * rho:
+            return float(1.0 / np.sqrt(rho))
+        if not np.isfinite(resid):
+            break
+        x = bx / np.linalg.norm(bx)
+    try:
+        return float(np.linalg.svd(t, compute_uv=False)[-1])
+    except np.linalg.LinAlgError:
+        return float("nan")

@@ -1,4 +1,5 @@
-"""Property tests: TrigPoly algebra and the text-format round trips."""
+"""Property tests: TrigPoly algebra, the text-format round trips and the
+Toeplitz build of convolution matrices."""
 
 import math
 
@@ -6,10 +7,11 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from torweyl import serialize  # noqa: E402
+from torweyl.operators import GridParams, convolution_matrix  # noqa: E402
 from torweyl.symbols import (  # noqa: E402
     BoundaryTube,
     Disk,
@@ -101,3 +103,26 @@ class TestRoundTrips:
     @given(regions())
     def test_region(self, region):
         assert serialize.loads_region(serialize.dumps_region(region)) == region
+
+
+def convolution_matrix_by_loop(u: TrigPoly, grid: GridParams) -> np.ndarray:
+    """Reference: the sum over coefficients of c_k times a shifted identity."""
+    n = grid.N
+    out = np.zeros((n, n), dtype=complex)
+    for k, c in u.items():
+        out += c * np.eye(n, k=-k)
+    return out
+
+
+class TestConvolutionMatrix:
+    @SETTINGS
+    @given(trig_polys(), st.integers(0, 4))
+    @example(TrigPoly({0: complex(-0.0, 1.0), 2: complex(1.0, -0.0),
+                       -3: complex(-2.0, -0.0)}), 0)
+    def test_toeplitz_build_matches_loop_bit_for_bit(self, u, extra):
+        grid = GridParams(h=0.1, K=max(1, (u.bandwidth + 1) // 2) + extra)
+        got = convolution_matrix(u, grid)
+        want = convolution_matrix_by_loop(u, grid)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()

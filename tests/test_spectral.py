@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from torweyl.operators import GridParams, assemble_multiplier
 from torweyl.spectral import (
@@ -177,6 +178,12 @@ class TestDetFactorization:
     def test_zero_rank_convention(self):
         assert det_factorization_residual(np.eye(3, dtype=complex), 0.0, 0) == 0.0
 
+    def test_zero_logdet_gives_absolute_defect(self):
+        # ln 2 + ln 0.5 is exactly 0, so there is no scale to divide by
+        m = np.diag([2.0, 0.5]).astype(complex)
+        assert log_abs_det(m, 0.0) == 0.0
+        assert det_factorization_residual(m, 0.0, 1) <= 1e-14
+
     def test_random_well_conditioned(self):
         rng = np.random.default_rng(7)
         worst = 0.0
@@ -286,6 +293,15 @@ class TestSpectralFunctional:
                                 alpha=0.3, t_probe=0.3)
 
 
+def assert_matches_svd(a, zs, got):
+    """Each value within max(1e-10 * ref, N * eps * ||A - z||_2) of dense SVD."""
+    n = a.shape[0]
+    for z, val in zip(zs, got):
+        sv = np.linalg.svd(a - z * np.eye(n), compute_uv=False)
+        tol = max(1e-10 * sv[-1], n * np.finfo(float).eps * sv[0])
+        assert abs(val - sv[-1]) <= tol, (z, val, sv[-1], tol)
+
+
 class TestPseudospectrum:
     def test_normal_matrix_gives_distance(self):
         d = np.diag([1.0, 2.0, 3.0j]).astype(complex)
@@ -304,7 +320,53 @@ class TestPseudospectrum:
 
     def test_nilpotent_shift_value(self):
         m = np.eye(3, k=-1).astype(complex)
-        got = pseudospectrum(m, [0.5])[0]
-        oracle = float(np.linalg.svd(m - 0.5 * np.eye(3),
-                                     compute_uv=False)[-1])
-        assert got == pytest.approx(oracle, abs=0.0)
+        assert_matches_svd(m, [0.5], pseudospectrum(m, [0.5]))
+
+    def test_random_non_normal_grid_through_spectrum(self):
+        rng = np.random.default_rng(14)
+        a = random_complex(rng, 40)
+        radius = float(np.max(np.abs(np.linalg.eigvals(a))))
+        axis = np.linspace(-1.2 * radius, 1.2 * radius, 9)
+        zs = [complex(x, y) for y in axis for x in axis]
+        assert_matches_svd(a, zs, pseudospectrum(a, zs))
+
+    def test_jordan_block(self):
+        j = np.eye(12, k=1).astype(complex)
+        axis = np.linspace(-1.3, 1.3, 7)
+        zs = [complex(x, y) + 0.01 for y in axis for x in axis]
+        assert_matches_svd(j, zs, pseudospectrum(j, zs))
+
+    def test_tied_smallest_singular_value(self):
+        # 0 and 0.2i are equidistant from the eigenvalues 1 and -1
+        d = np.diag([1.0, -1.0, 3.0j, 4.0]).astype(complex)
+        got = pseudospectrum(d, [0.0, 0.2j])
+        assert_matches_svd(d, [0.0, 0.2j], got)
+        assert got[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_shift_on_diagonal_entry_is_zero(self):
+        t = np.triu(random_complex(np.random.default_rng(15), 6))
+        assert pseudospectrum(t, [t[2, 2], t[2, 2] + 0.5])[0] == 0.0
+
+    def test_schur_failure_gives_nan_everywhere(self, monkeypatch):
+        zgees = scipy.linalg.lapack.zgees
+
+        def failing(*args, **kwargs):
+            return zgees(*args, **kwargs)[:-1] + (1,)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "zgees", failing)
+        got = pseudospectrum(np.eye(4, dtype=complex), [0.0, 2.0, 1j])
+        assert len(got) == 3 and all(math.isnan(v) for v in got)
+
+    def test_non_finite_matrix_gives_nan(self):
+        # zgees succeeds but leaves NaN in T; the dense fallback then fails
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = np.inf
+        got = pseudospectrum(m, [0.0, 2.0])
+        assert len(got) == 2 and all(math.isnan(v) for v in got)
+
+    def test_repeat_call_is_bit_identical(self):
+        rng = np.random.default_rng(16)
+        a = random_complex(rng, 30)
+        zs = [complex(x, 0.3) for x in np.linspace(-5, 5, 11)]
+        first = np.array(pseudospectrum(a, zs))
+        assert first.tobytes() == np.array(pseudospectrum(a, zs)).tobytes()
