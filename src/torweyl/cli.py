@@ -32,6 +32,7 @@ from .experiments import (
     line_count_in_region,
     line_model_check,
     run_ensemble,
+    weyl_prediction,
 )
 from .operators import (
     GridParams,
@@ -138,6 +139,16 @@ def finite(raw: str) -> float:
     if not math.isfinite(val):
         raise ValueError(f"not a finite number: {raw!r}")
     return val
+
+
+def at_least(lo: int) -> Callable[[str], int]:
+    """Parser of an integer no smaller than ``lo``."""
+    def parse(raw: str) -> int:
+        val = int(raw)
+        if val < lo:
+            raise ValueError(f"must be at least {lo}, got {val}")
+        return val
+    return parse
 
 
 def finite_list(raw: str) -> tuple[float, ...]:
@@ -293,11 +304,17 @@ VOLUME = {
     "kappa.z": Key(point),
     "kappa.t_lo": Key(finite, 1e-4),
     "kappa.t_hi": Key(finite, 1e-1),
-    "kappa.points_n": Key(int, 8),
+    "kappa.points_n": Key(at_least(4), 8),
 }
 
 
 def cmd_volume(v: dict, out_dir: Path) -> int:
+    h, t_lo, t_hi = v["volume.h"], v["kappa.t_lo"], v["kappa.t_hi"]
+    if h is not None and not 0.0 < h <= 1.0:
+        raise ConfigError(f"volume.h = {h!r}: h must lie in (0, 1]")
+    if not 0.0 < t_lo < t_hi:
+        raise ConfigError(f"kappa.t_lo = {t_lo!r}, kappa.t_hi = {t_hi!r}: "
+                          "need 0 < t_lo < t_hi")
     spec = one_of(v, "symbol.model", "symbol.file")
     region = one_of(v, "region.rect", "region.disk")
     n_x, n_xi = v["grid.n_x"], v["grid.n_xi"]
@@ -314,16 +331,15 @@ def cmd_volume(v: dict, out_dir: Path) -> int:
         "volume": vol,
     }
     print(f"volume = {vol!r}")
-    h = v["volume.h"]
     if h is not None:
-        pred = vol / (2.0 * math.pi * h)
+        pred = weyl_prediction(vol, h)
         payload["h"] = h
         payload["prediction"] = pred
         print(f"prediction = {pred!r} at h = {h!r}")
     z = v["kappa.z"]
     if z is not None:
-        kap, r2 = estimate_kappa(spec, z, t_lo=v["kappa.t_lo"],
-                                 t_hi=v["kappa.t_hi"], n_points=v["kappa.points_n"])
+        kap, r2 = estimate_kappa(spec, z, t_lo=t_lo, t_hi=t_hi,
+                                 n_points=v["kappa.points_n"])
         payload["kappa_hat"] = kap
         payload["kappa_r2"] = r2
         print(f"kappa_hat = {kap!r} (r2 = {r2!r}) at z = {z}")
@@ -342,8 +358,8 @@ SPECTRUM = {
     "perturb.epsilon": Key(rational, "0.5"),
     "perturb.kappa": Key(rational),         # absent: the floor 1/(2m)
     "pseudospec.enabled": Key(boolean, True),
-    "pseudospec.n_re": Key(int, 40),
-    "pseudospec.n_im": Key(int, 20),
+    "pseudospec.n_re": Key(at_least(1), 40),
+    "pseudospec.n_im": Key(at_least(1), 20),
 }
 
 
@@ -355,12 +371,10 @@ def cmd_spectrum(v: dict, out_dir: Path) -> int:
     grid = config_object(truncation_grid, h, bound, v["grid.k_rule"])
     P = assemble_differential(spec, grid)
     tag = f"{h:g}"
-    spectrum = eigenvalues(P)
-    _write(out_dir, f"eigs_{tag}_base.csv", serialize.eigs_csv(spectrum.eigenvalues))
+    _write(out_dir, f"eigs_{tag}_base.csv", serialize.eigs_csv(eigenvalues(P)))
     payload = {
-        "schema": "torweyl.spectrum.v1",
+        "schema": "torweyl.spectrum.v2",
         "h": h, "K": grid.K, "N": grid.N,
-        "max_residual_base": spectrum.max_residual,
     }
     seed = v["perturb.seed"]
     if seed is not None:
@@ -373,9 +387,8 @@ def cmd_spectrum(v: dict, out_dir: Path) -> int:
         )
         pot = sample_potential(plan, split_seed(seed, 0))
         perturbed = build_perturbed(P, plan, pot)
-        pspec = eigenvalues(perturbed)
-        _write(out_dir, f"eigs_{tag}_0.csv", serialize.eigs_csv(pspec.eigenvalues))
-        payload["max_residual_perturbed"] = pspec.max_residual
+        _write(out_dir, f"eigs_{tag}_0.csv",
+               serialize.eigs_csv(eigenvalues(perturbed)))
         payload["plan"] = plan.as_dict()
         target = perturbed
     else:
@@ -412,7 +425,7 @@ WEYL_ENSEMBLE = {
     "plan.tau0": Key(tau0, field="tau0"),
     "plan.mode": Key(str, flag="mode", field="mode"),
     "plan.delta_eff": Key(finite, flag="delta_eff", field="delta_eff"),
-    "probes.boundary_n": Key(int, field="n_probes"),
+    "probes.boundary_n": Key(at_least(0), field="n_probes"),
     "probes.tube_r": Key(finite, field="tube_r"),
     "report.rel_tol": Key(finite, field="rel_tol"),
     "report.eps_tilde_factor": Key(finite, field="eps_tilde_factor"),
@@ -464,7 +477,7 @@ LINE_CHECK = {
     **REGION,
     "line.g_coeffs": Key(trig_poly, REQUIRED),
     "line.h": Key(finite, 0.1, flag="h"),
-    "line.k_max": Key(int, 5),
+    "line.k_max": Key(at_least(0), 5),
     "line.grid_K": Key(int, 96),
     "line.delta": Key(finite, 0.0),
     "line.q_coeffs": Key(trig_poly),
@@ -527,9 +540,9 @@ def cmd_line_check(v: dict, out_dir: Path) -> int:
 IDENTITY_CHECKS = {
     "checks.master_seed": Key(int, 0, flag="seed"),
     "checks.det_trials_n": Key(int, 50),
-    "checks.det_dim": Key(int, 20),
+    "checks.det_dim": Key(at_least(3), 20),    # up to 3 singular pairs
     "checks.fu_trials_n": Key(int, 20),
-    "checks.fu_dim": Key(int, 50),
+    "checks.fu_dim": Key(at_least(1), 50),
 }
 
 

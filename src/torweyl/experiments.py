@@ -197,10 +197,9 @@ def validate_config(config: ExperimentConfig) -> ValidationInfo:
 # predictions and trials
 # ---------------------------------------------------------------------------
 
-def weyl_prediction(spec: SymbolSpec, region: Region, h: float,
-                    grid: PhaseGrid) -> float:
-    """vol(p^{-1}(region)) / (2 pi h)."""
-    return volume_preimage(spec, region, grid) / (TWO_PI * h)
+def weyl_prediction(volume: float, h: float) -> float:
+    """The count prediction vol(p^{-1}(region)) / (2 pi h) from the volume."""
+    return volume / (TWO_PI * h)
 
 
 @dataclass(frozen=True)
@@ -262,7 +261,7 @@ def _context_for_h(config: ExperimentConfig, h: float, info: ValidationInfo,
               else boundary_probes(config.region, config.n_probes))
     return _TrialContext(
         config=config, h=h, grid=grid, P=P, plan=plan,
-        prediction=volume / (TWO_PI * h), z_probes=probes,
+        prediction=weyl_prediction(volume, h), z_probes=probes,
     )
 
 
@@ -272,15 +271,28 @@ def _relative_error(count: int, prediction: float) -> float:
     return 0.0 if count == 0 else math.inf
 
 
-def _probe_diagnostics(matrix: OperatorMatrix, z_probes):
+def _measure(ctx: _TrialContext, matrix: OperatorMatrix, seed: int | None,
+             t0: float) -> TrialResult:
+    """Eigenvalues, region count and boundary probes of one trial matrix."""
+    eigs = eigenvalues(matrix)
+    count = count_in_region(eigs, ctx.config.region)
     sig, logd = [], []
-    for z in z_probes:
+    for z in ctx.z_probes:
         sig.append(float(singular_values(matrix, z)[0]))
         try:
             logd.append(log_abs_det(matrix, z))
         except SingularMatrixError:
             logd.append(None)
-    return tuple(sig), tuple(logd)
+    return TrialResult(
+        seed=seed,
+        count=count,
+        prediction=ctx.prediction,
+        relative_error=_relative_error(count, ctx.prediction),
+        sigma_min_probes=tuple(sig),
+        logdet_probes=tuple(logd),
+        runtime_s=time.perf_counter() - t0,
+        eigvals=eigs,
+    )
 
 
 def _run_trial_in_context(ctx: _TrialContext, trial_index: int) -> TrialResult:
@@ -289,20 +301,7 @@ def _run_trial_in_context(ctx: _TrialContext, trial_index: int) -> TrialResult:
     try:
         pot = sample_potential(ctx.plan, seed,
                                real_mode=ctx.config.real_potentials)
-        perturbed = build_perturbed(ctx.P, ctx.plan, pot)
-        spectrum = eigenvalues(perturbed)
-        count = count_in_region(spectrum, ctx.config.region)
-        sig, logd = _probe_diagnostics(perturbed, ctx.z_probes)
-        return TrialResult(
-            seed=seed,
-            count=count,
-            prediction=ctx.prediction,
-            relative_error=_relative_error(count, ctx.prediction),
-            sigma_min_probes=sig,
-            logdet_probes=logd,
-            runtime_s=time.perf_counter() - t0,
-            eigvals=spectrum.eigenvalues,
-        )
+        return _measure(ctx, build_perturbed(ctx.P, ctx.plan, pot), seed, t0)
     except Exception as exc:  # a failed trial is recorded, never dropped
         return TrialResult(
             seed=seed, count=-1, prediction=ctx.prediction,
@@ -314,20 +313,7 @@ def _run_trial_in_context(ctx: _TrialContext, trial_index: int) -> TrialResult:
 
 def _baseline_trial(ctx: _TrialContext) -> TrialResult:
     """Unperturbed operator, run first: isolates truncation artifacts."""
-    t0 = time.perf_counter()
-    spectrum = eigenvalues(ctx.P)
-    count = count_in_region(spectrum, ctx.config.region)
-    sig, logd = _probe_diagnostics(ctx.P, ctx.z_probes)
-    return TrialResult(
-        seed=None,
-        count=count,
-        prediction=ctx.prediction,
-        relative_error=_relative_error(count, ctx.prediction),
-        sigma_min_probes=sig,
-        logdet_probes=logd,
-        runtime_s=time.perf_counter() - t0,
-        eigvals=spectrum.eigenvalues,
-    )
+    return _measure(ctx, ctx.P, None, time.perf_counter())
 
 
 def run_trial(config: ExperimentConfig, h: float, trial_index: int) -> TrialResult:
@@ -432,6 +418,9 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> WeylReport:
         raise InvalidConfigError("n_trials must be at least 1")
     if workers < 1:
         raise InvalidConfigError("workers must be at least 1")
+    # a repeated h would rerun the same seeded trials into the same files
+    if len(set(config.h_list)) < len(config.h_list):
+        raise InvalidConfigError(f"h_list repeats an h: {list(config.h_list)}")
     info = validate_config(config)
     # the volumes depend on neither h nor the trial
     volume = volume_preimage(config.spec, config.region, info.vol_grid)

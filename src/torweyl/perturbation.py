@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .operators import OperatorMatrix, convolution_matrix
+from .operators import OperatorMatrix, convolution_matrix, sup_norm
 from .symbols import TWO_PI, TrigPoly
 
 Rational = Union[int, float, str, Fraction]
@@ -243,8 +243,7 @@ class RandomPotential:
 
     def sup_q(self, n_samples: int = 4096) -> float:
         """Sampled sup norm of q; the multiplication-operator norm scale."""
-        n = max(n_samples, 4 * self.q.bandwidth + 4)
-        return float(np.max(np.abs(self.q.uniform_samples(n))))
+        return sup_norm(self.q, n_samples)
 
 
 def split_seed(master_seed: int, trial_index: int) -> int:

@@ -186,7 +186,9 @@ class SymbolSpec:
         """p(x, xi) by Horner recursion in xi; broadcasts over arrays."""
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
-        out = np.broadcast_to(self.a[self.m](x), np.broadcast_shapes(x.shape, xi.shape)).copy()
+        out = self.top(x)
+        if self.m == 0:     # p = a_0(x): no xi factor broadcasts it
+            return np.broadcast_to(out, np.broadcast_shapes(x.shape, xi.shape)).copy()
         for alpha in range(self.m - 1, -1, -1):
             out = out * xi + self.a[alpha](x)
         return out
@@ -446,17 +448,19 @@ def default_grid(spec: SymbolSpec, region: Region,
 _CHUNK_ROWS = 128
 
 
+def _sweep(spec: SymbolSpec, x: np.ndarray, xi: np.ndarray) -> Iterator[np.ndarray]:
+    """p on the tensor grid x by xi, in blocks of _CHUNK_ROWS x-rows."""
+    for lo in range(0, len(x), _CHUNK_ROWS):
+        yield spec.eval_principal(x[lo:lo + _CHUNK_ROWS, None], xi[None, :])
+
+
 def volume_preimage(spec: SymbolSpec, region: Region, grid: PhaseGrid) -> float:
     """Midpoint-rule measure of {(x, xi) : p(x, xi) in region}."""
     ok, msg = certify_grid(spec, region, grid)
     if not ok:
         raise ContainmentError(msg)
-    x = grid.x_nodes()
-    xi = grid.xi_nodes()
-    count = 0
-    for lo in range(0, grid.n_x, _CHUNK_ROWS):
-        vals = spec.eval_principal(x[lo:lo + _CHUNK_ROWS, None], xi[None, :])
-        count += int(np.count_nonzero(region.contains(vals)))
+    count = sum(int(np.count_nonzero(region.contains(vals)))
+                for vals in _sweep(spec, grid.x_nodes(), grid.xi_nodes()))
     return count * grid.cell_area
 
 
@@ -467,11 +471,8 @@ def sublevel_volumes(spec: SymbolSpec, z: complex, t_values,
     ok, msg = certify_grid(spec, Disk(z, math.sqrt(float(t.max()))), grid)
     if not ok:
         raise ContainmentError(msg)
-    x = grid.x_nodes()
-    xi = grid.xi_nodes()
     counts = np.zeros(t.shape, dtype=np.int64)
-    for lo in range(0, grid.n_x, _CHUNK_ROWS):
-        vals = spec.eval_principal(x[lo:lo + _CHUNK_ROWS, None], xi[None, :])
+    for vals in _sweep(spec, grid.x_nodes(), grid.xi_nodes()):
         s = np.abs(vals - z) ** 2
         counts += (s.ravel()[:, None] <= t[None, :]).sum(axis=0)
     return counts * grid.cell_area
@@ -486,10 +487,8 @@ def boundary_cell_measure(spec: SymbolSpec, region: Region, grid: PhaseGrid) -> 
     x = np.arange(grid.n_x + 1) * (TWO_PI / grid.n_x)
     step = (grid.xi_hi - grid.xi_lo) / grid.n_xi
     xi = grid.xi_lo + np.arange(grid.n_xi + 1) * step
-    inside = np.empty((grid.n_x + 1, grid.n_xi + 1), dtype=bool)
-    for lo in range(0, grid.n_x + 1, _CHUNK_ROWS):
-        vals = spec.eval_principal(x[lo:lo + _CHUNK_ROWS, None], xi[None, :])
-        inside[lo:lo + _CHUNK_ROWS] = region.contains(vals)
+    inside = np.concatenate([region.contains(vals)
+                             for vals in _sweep(spec, x, xi)])
     cells = inside[:-1, :-1] | inside[1:, :-1] | inside[:-1, 1:] | inside[1:, 1:]
     full = inside[:-1, :-1] & inside[1:, :-1] & inside[:-1, 1:] & inside[1:, 1:]
     return int(np.count_nonzero(cells & ~full)) * grid.cell_area
@@ -532,15 +531,9 @@ def estimate_kappa(spec: SymbolSpec, z: complex, t_lo: float, t_hi: float,
 
 def range_samples(spec: SymbolSpec, grid: PhaseGrid, max_samples: int = 200_000) -> np.ndarray:
     """Flattened samples of p over the grid, decimated to max_samples."""
-    x = grid.x_nodes()
-    xi = grid.xi_nodes()
-    total = grid.n_x * grid.n_xi
-    stride = max(1, total // max_samples)
-    vals = []
-    for lo in range(0, grid.n_x, _CHUNK_ROWS):
-        block = spec.eval_principal(x[lo:lo + _CHUNK_ROWS, None], xi[None, :])
-        vals.append(block.ravel()[::stride])
-    return np.concatenate(vals)
+    stride = max(1, grid.n_x * grid.n_xi // max_samples)
+    return np.concatenate([block.ravel()[::stride] for block in
+                           _sweep(spec, grid.x_nodes(), grid.xi_nodes())])
 
 
 def distance_to_samples(samples: np.ndarray, z) -> np.ndarray:

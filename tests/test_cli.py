@@ -197,6 +197,12 @@ VOLUME_TINY = {
     "region.rect": "-1 1 0.1 0.9",
     "grid.n_x": "64",
     "grid.n_xi": "64",
+    "kappa.z": "0 0.5",
+}
+SPECTRUM_TINY = {
+    "symbol.model": "xi2+exp(ix)",
+    "region.rect": "0.2 0.8 -0.4 0.4",
+    "grid.h": "0.1",
 }
 
 
@@ -244,6 +250,25 @@ class TestBadNumbers:
         ("line-check", None, ["--h", "1.5"], "h must lie"),
         ("volume", {**VOLUME_TINY, "grid.n_x": "0"}, [], "at least one cell"),
         ("spectrum", None, ["--h", "0"], "h must lie"),
+        ("volume", VOLUME_TINY, ["--h", "0"], "volume.h"),
+        ("volume", VOLUME_TINY, ["--h", "2"], "volume.h"),
+        ("volume", {**VOLUME_TINY, "kappa.points_n": "2"}, [],
+         "key 'kappa.points_n'"),
+        ("volume", {**VOLUME_TINY, "kappa.t_lo": "0"}, [], "kappa.t_lo"),
+        ("volume", {**VOLUME_TINY, "kappa.t_lo": "0.5"}, [], "kappa.t_lo"),
+        ("spectrum", {**SPECTRUM_TINY, "pseudospec.n_re": "-1"}, [],
+         "key 'pseudospec.n_re'"),
+        ("line-check", {"line.g_coeffs": "-1 1 0", "line.k_max": "-1"}, [],
+         "key 'line.k_max'"),
+        ("identity-checks", {"checks.det_dim": "2"}, [], "key 'checks.det_dim'"),
+        ("identity-checks", {"checks.det_dim": "0"}, [], "key 'checks.det_dim'"),
+        ("identity-checks", {"checks.fu_dim": "-1"}, [], "key 'checks.fu_dim'"),
+        ("weyl-ensemble", {**WEYL_TINY, "probes.boundary_n": "-1"}, [],
+         "key 'probes.boundary_n'"),
+        ("weyl-ensemble", {**WEYL_TINY, "run.h_list": "0.1 0.1"}, [],
+         "h_list repeats"),
+        ("weyl-ensemble", WEYL_TINY, ["--h", "0.1", "--h", "0.1"],
+         "h_list repeats"),
     ])
     def test_exit_config(self, capsys, tmp_path, command, entries, flags,
                          needle):

@@ -34,6 +34,7 @@ from torweyl.symbols import (
     TrigPoly,
     catalog_symbol,
     certified_xi_bound,
+    volume_preimage,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -62,7 +63,7 @@ class TestWeylPrediction:
         region = Rectangle(-1, 1, 0.1, 0.9)
         bound = certified_xi_bound(spec, region)
         grid = PhaseGrid(n_x=2048, xi_lo=-bound, xi_hi=bound, n_xi=2048)
-        pred = weyl_prediction(spec, region, 0.01, grid)
+        pred = weyl_prediction(volume_preimage(spec, region, grid), 0.01)
         exact = 4.0 * (math.asin(0.9) - math.asin(0.1)) / (TWO_PI * 0.01)
         assert pred == pytest.approx(exact, rel=2e-3)
         assert pred == pytest.approx(64.91, rel=5e-3)
@@ -71,14 +72,15 @@ class TestWeylPrediction:
         spec = catalog_symbol("xi2+exp(ix)")
         region = Rectangle(0.2, 0.8, -0.4, 0.4)
         grid = PhaseGrid(n_x=128, xi_lo=-1.5, xi_hi=1.5, n_xi=128)
-        assert weyl_prediction(spec, region, 0.02, grid) == pytest.approx(
-            2.0 * weyl_prediction(spec, region, 0.04, grid), rel=0.0)
+        volume = volume_preimage(spec, region, grid)
+        assert weyl_prediction(volume, 0.02) == pytest.approx(
+            2.0 * weyl_prediction(volume, 0.04), rel=0.0)
 
     def test_empty_region(self):
         spec = catalog_symbol("xi2+exp(ix)")
         region = Rectangle(10.0, 11.0, 10.0, 11.0)
         grid = PhaseGrid(n_x=64, xi_lo=-5.0, xi_hi=5.0, n_xi=64)
-        assert weyl_prediction(spec, region, 0.05, grid) == 0.0
+        assert weyl_prediction(volume_preimage(spec, region, grid), 0.05) == 0.0
 
 
 class TestConfigValidation:
