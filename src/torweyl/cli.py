@@ -26,6 +26,7 @@ import numpy as np
 from . import serialize
 from .experiments import (
     ExperimentConfig,
+    GuardError,
     InvalidConfigError,
     ResolutionError,
     config_object,
@@ -36,7 +37,6 @@ from .experiments import (
 )
 from .operators import (
     GridParams,
-    GuardError,
     assemble_differential,
     truncation_grid,
 )
@@ -482,7 +482,7 @@ LINE_CHECK = {
     "line.delta": Key(finite, 0.0),
     "line.q_coeffs": Key(trig_poly),
     "line.seed": Key(int, 0, flag="seed"),
-    "line.trials_n": Key(int, 1),
+    "line.trials_n": Key(at_least(1), 1),
 }
 
 
@@ -539,9 +539,9 @@ def cmd_line_check(v: dict, out_dir: Path) -> int:
 
 IDENTITY_CHECKS = {
     "checks.master_seed": Key(int, 0, flag="seed"),
-    "checks.det_trials_n": Key(int, 50),
+    "checks.det_trials_n": Key(at_least(1), 50),
     "checks.det_dim": Key(at_least(3), 20),    # up to 3 singular pairs
-    "checks.fu_trials_n": Key(int, 20),
+    "checks.fu_trials_n": Key(at_least(1), 20),
     "checks.fu_dim": Key(at_least(1), 50),
 }
 

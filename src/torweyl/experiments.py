@@ -20,12 +20,9 @@ import numpy as np
 
 from .operators import (
     GridParams,
-    GuardError,
     OperatorMatrix,
     assemble_differential,
     assemble_toroidal_pdo,
-    find_shifted_symbol,
-    make_lifted_symbol,
     truncation_grid,
 )
 from .perturbation import (
@@ -731,64 +728,88 @@ def logdet_formula_gap(spec: SymbolSpec, ptilde, z: complex, alpha: float,
                       quadrature_value=quad, gap=abs(logdet - quad))
 
 
-def _matrix_guard_ok(spec: SymbolSpec, candidate, test_points, grid: GridParams,
+# ---------------------------------------------------------------------------
+# the auxiliary symbol ptilde: p lifted off the test points
+# ---------------------------------------------------------------------------
+
+class GuardError(RuntimeError):
+    """No lifted symbol cleared the separation guards."""
+
+
+def bump_profile(t):
+    """Smooth cutoff equal to 1 on [0, 1], supported in [0, 2]."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape)
+    out[t <= 1.0] = 1.0
+    mid = (t > 1.0) & (t < 2.0)
+    u = t[mid] - 1.0
+    fa = np.exp(-1.0 / (1.0 - u))
+    fb = np.exp(-1.0 / u)
+    out[mid] = fa / (fa + fb)
+    return out
+
+
+def make_lifted_symbol(spec: SymbolSpec, shift: float,
+                       xi_on: float, xi_off: float):
+    """Symbol pushed upward on the whole frequency window |xi| <= xi_on,
+    equal to p for |xi| >= xi_off."""
+    if not xi_on < xi_off:
+        raise ValueError("need xi_on < xi_off")
+    width = xi_off - xi_on
+
+    def lifted(x, xi):
+        xi = np.asarray(xi, dtype=float)
+        profile = bump_profile(1.0 + (np.abs(xi) - xi_on) / width)
+        return spec.eval_principal(x, xi) + 1j * shift * profile
+
+    return lifted
+
+
+def _matrix_guard_ok(candidate, test_points, grid: GridParams,
                      matrix_guard: float) -> bool:
-    pt = assemble_toroidal_pdo(candidate, grid).entries
-    eye = np.eye(grid.N)
-    for z in test_points:
-        smallest = float(np.linalg.svd(pt - z * eye, compute_uv=False)[-1])
-        if smallest < matrix_guard:
-            return False
-    return True
+    pt = assemble_toroidal_pdo(candidate, grid)
+    return all(singular_values(pt, z)[0] >= matrix_guard for z in test_points)
 
 
 def shifted_symbol_for(spec: SymbolSpec, z_center: complex,
                        test_points: Sequence[complex], h: float,
                        xi_bound: float, guard: float = 0.1,
                        matrix_guard: float = 0.02):
-    """Guard-validated shifted symbol on a mode-aligned slab.
+    """Guard-validated auxiliary symbol ptilde on a mode-aligned slab.
 
-    Candidates must keep the symbol at least ``guard`` away from every test
-    point on the sampled grid and keep the quantized shifted operator at
-    least ``matrix_guard`` from singular there.  The second check matters:
-    a bump in the symbol's values can leave x -> p(x, xi) winding around a
-    test point, and then the quantization is exponentially near-singular
-    even though the symbol clears the pointwise guard.  Value bumps are
-    tried first, then whole-window frequency lifts, which cannot wind.
+    ptilde is p lifted by i*shift on the whole frequency window
+    |xi| <= xi_on (``make_lifted_symbol``), so it equals p outside a compact
+    set.  A candidate must keep the symbol at least ``guard`` away from
+    every test point on the sampled grid and keep the quantized operator at
+    least ``matrix_guard`` from singular there.  The lift is used because it
+    cannot wind: a bump in the symbol's values can leave x -> p(x, xi)
+    winding around a test point, and then the quantization is exponentially
+    near-singular even though the symbol clears the pointwise guard, while
+    an x-row lifted whole passes above the test points.
+
+    Returns (ptilde, grid, (shift, xi_on)); raises GuardError when no
+    (xi_on, shift) candidate clears both guards.
     """
     grid = truncation_grid(h, xi_bound)
     K = grid.K
     phase = PhaseGrid(n_x=4 * K + 4, xi_lo=-(h * (K + 0.5)),
                       xi_hi=h * (K + 0.5), n_xi=grid.N)
+    x = phase.x_nodes()[:, None]
+    xi = phase.xi_nodes()[None, :]
     pts = [complex(z) for z in test_points]
-    try:
-        ptilde, shift, rho = find_shifted_symbol(
-            spec, z_center, pts, phase, guard=guard)
-        if _matrix_guard_ok(spec, ptilde, pts, grid, matrix_guard):
-            return ptilde, grid, ("value-bump", shift, rho)
-    except GuardError:
-        pass
-
-    x = phase.x_nodes()
-    xi = phase.xi_nodes()
-    p_samples = spec.eval_principal(x[:, None], xi[None, :]).ravel()
-    span = max(abs(z - z_center) for z in pts) if pts else 0.0
+    span = max(abs(z - z_center) for z in pts)
     top = max(z.imag for z in pts)
     for xi_margin in (0.2, 0.5, 0.8):
         xi_on = min(_winding_xi_bound(spec, pts) + xi_margin, xi_bound - 0.05)
         xi_off = xi_on + 0.3
         for shift in (top + 1.5 + span, top + 3.0 + span, top + 6.0 + span):
             candidate = make_lifted_symbol(spec, shift, xi_on, xi_off)
-            moved = np.asarray(candidate(x[:, None], xi[None, :])).ravel()
+            moved = np.asarray(candidate(x, xi))
             clear = min(float(np.min(np.abs(moved - z))) for z in pts)
-            if clear < guard:
-                continue
-            if _matrix_guard_ok(spec, candidate, pts, grid, matrix_guard):
-                return candidate, grid, ("xi-lift", shift, xi_on)
-    raise GuardError(
-        "no shifted symbol in either search family cleared the symbol and "
-        "matrix guards"
-    )
+            if clear >= guard and _matrix_guard_ok(candidate, pts, grid,
+                                                   matrix_guard):
+                return candidate, grid, (shift, xi_on)
+    raise GuardError("no frequency lift cleared the symbol and matrix guards")
 
 
 def _winding_xi_bound(spec: SymbolSpec, test_points) -> float:

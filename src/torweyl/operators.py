@@ -10,20 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
-from .symbols import TWO_PI, PhaseGrid, SymbolSpec, TrigPoly
+from .symbols import TWO_PI, SymbolSpec, TrigPoly
 
 
 class BandwidthError(ValueError):
     """A coefficient's Fourier support exceeds what the truncation holds."""
-
-
-class GuardError(RuntimeError):
-    """No shifted symbol in the search family cleared the separation guard."""
 
 
 @dataclass(frozen=True)
@@ -159,85 +155,3 @@ def sup_norm(q: TrigPoly, n_samples: int = 4096) -> float:
     """Max of |q| on a uniform grid (dense enough for band-limited q)."""
     n = max(n_samples, 4 * q.bandwidth + 4)
     return float(np.max(np.abs(q.uniform_samples(n))))
-
-
-# ---------------------------------------------------------------------------
-# shifted symbols: p moved off a set of target points
-# ---------------------------------------------------------------------------
-
-def bump_profile(t):
-    """Smooth cutoff equal to 1 on [0, 1], supported in [0, 2]."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape)
-    out[t <= 1.0] = 1.0
-    mid = (t > 1.0) & (t < 2.0)
-    u = t[mid] - 1.0
-    fa = np.exp(-1.0 / (1.0 - u))
-    fb = np.exp(-1.0 / u)
-    out[mid] = fa / (fa + fb)
-    return out
-
-
-def make_shifted_symbol(spec: SymbolSpec, z_center: complex,
-                        rho: float, shift: float) -> Callable:
-    """Symbol equal to p outside |p - z_center| <= 2*rho, pushed upward inside."""
-
-    def shifted(x, xi):
-        p = spec.eval_principal(x, xi)
-        return p + 1j * shift * bump_profile(np.abs(p - z_center) / rho)
-
-    return shifted
-
-
-def make_lifted_symbol(spec: SymbolSpec, shift: float,
-                       xi_on: float, xi_off: float) -> Callable:
-    """Symbol pushed upward on the whole frequency window |xi| <= xi_on.
-
-    Unlike a bump in the symbol's values, lifting entire x-rows removes any
-    winding of x -> p(x, xi) around the target points, which is what keeps
-    the quantization of (ptilde - z) safely invertible.
-    """
-    if not xi_on < xi_off:
-        raise ValueError("need xi_on < xi_off")
-    width = xi_off - xi_on
-
-    def lifted(x, xi):
-        xi = np.asarray(xi, dtype=float)
-        profile = bump_profile(1.0 + (np.abs(xi) - xi_on) / width)
-        return spec.eval_principal(x, xi) + 1j * shift * profile
-
-    return lifted
-
-
-def find_shifted_symbol(
-    spec: SymbolSpec,
-    z_center: complex,
-    test_points: Sequence[complex],
-    phase_grid: PhaseGrid,
-    guard: float = 0.1,
-    shifts: Sequence[float] = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0),
-    rhos: Sequence[float] | None = None,
-) -> tuple[Callable, float, float]:
-    """Grid-search a (shift, rho) pair so the shifted symbol clears the guard.
-
-    Validates min over the phase grid and over every test point z of
-    |p~ - z| >= guard.  Returns (symbol, shift, rho) or raises GuardError.
-    """
-    pts = np.asarray(list(test_points), dtype=complex)
-    if rhos is None:
-        base = float(np.max(np.abs(pts - z_center))) + 0.25 if len(pts) else 0.5
-        rhos = (base, 1.3 * base, 1.7 * base)
-    x = phase_grid.x_nodes()
-    xi = phase_grid.xi_nodes()
-    p = spec.eval_principal(x[:, None], xi[None, :]).ravel()
-    for rho in rhos:
-        prof = bump_profile(np.abs(p - z_center) / rho)
-        for shift in shifts:
-            moved = p + 1j * shift * prof
-            clear = min(float(np.min(np.abs(moved - z))) for z in pts)
-            if clear >= guard:
-                return make_shifted_symbol(spec, z_center, rho, shift), shift, rho
-    raise GuardError(
-        f"no (shift, rho) in the search family kept the shifted symbol "
-        f"{guard:g} away from all test points"
-    )

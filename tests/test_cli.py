@@ -204,6 +204,8 @@ SPECTRUM_TINY = {
     "region.rect": "0.2 0.8 -0.4 0.4",
     "grid.h": "0.1",
 }
+LINE_SHIPPED = {name: value for name, (value, _)
+                in parse_config(CONFIGS / "line_check.cfg").items()}
 
 
 def write_cfg(tmp_path, entries: dict) -> Path:
@@ -269,6 +271,13 @@ class TestBadNumbers:
          "h_list repeats"),
         ("weyl-ensemble", WEYL_TINY, ["--h", "0.1", "--h", "0.1"],
          "h_list repeats"),
+        # a check or a perturbed half that runs no trial must not pass
+        ("identity-checks", {"checks.det_trials_n": "0"}, [],
+         "key 'checks.det_trials_n'"),
+        ("identity-checks", {"checks.fu_trials_n": "-1"}, [],
+         "key 'checks.fu_trials_n'"),
+        ("line-check", {**LINE_SHIPPED, "line.trials_n": "0"}, [],
+         "key 'line.trials_n'"),
     ])
     def test_exit_config(self, capsys, tmp_path, command, entries, flags,
                          needle):

@@ -8,17 +8,27 @@ import pytest
 from torweyl.operators import (
     BandwidthError,
     GridParams,
-    GuardError,
     assemble_differential,
     assemble_multiplier,
     assemble_toroidal_pdo,
-    bump_profile,
-    find_shifted_symbol,
     hs_norm,
-    make_lifted_symbol,
     sup_norm,
 )
-from torweyl.symbols import PhaseGrid, SymbolSpec, TrigPoly, catalog_symbol
+from torweyl.experiments import (
+    GuardError,
+    bump_profile,
+    make_lifted_symbol,
+    shifted_symbol_for,
+)
+from torweyl.spectral import singular_values
+from torweyl.symbols import (
+    Disk,
+    PhaseGrid,
+    SymbolSpec,
+    TrigPoly,
+    catalog_symbol,
+    certified_xi_bound,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -231,21 +241,35 @@ class TestShiftedSymbols:
         assert phi[3] > phi[4] > 0.0
         assert np.array_equal(phi[5:], [0.0, 0.0])
 
-    def test_value_bump_clears_guard(self):
+    def test_shifted_symbol_clears_guard(self):
         spec = catalog_symbol("xi2+exp(ix)")
-        phase = PhaseGrid(n_x=256, xi_lo=-2.0, xi_hi=2.0, n_xi=256)
         z = 0.5 + 0.3j
-        shifted, _, _ = find_shifted_symbol(spec, z, [z], phase, guard=0.1)
+        h = 0.1
+        ptilde, grid, _ = shifted_symbol_for(
+            spec, z, [z], h, certified_xi_bound(spec, Disk(z, 0.6)), guard=0.1)
+        # the mode-aligned slab the guard is checked on
+        phase = PhaseGrid(n_x=4 * grid.K + 4, xi_lo=-(h * (grid.K + 0.5)),
+                          xi_hi=h * (grid.K + 0.5), n_xi=grid.N)
         x = phase.x_nodes()
         xi = phase.xi_nodes()
-        vals = np.asarray(shifted(x[:, None], xi[None, :]))
+        vals = np.asarray(ptilde(x[:, None], xi[None, :]))
         assert float(np.min(np.abs(vals - z))) >= 0.1
 
     def test_guard_failure_raises(self):
         spec = catalog_symbol("xi2+exp(ix)")
-        phase = PhaseGrid(n_x=64, xi_lo=-2.0, xi_hi=2.0, n_xi=64)
         with pytest.raises(GuardError):
-            find_shifted_symbol(spec, 0.5, [0.5], phase, guard=50.0)
+            shifted_symbol_for(spec, 0.5, [0.5], 0.1, 2.0, guard=50.0)
+
+    def test_lift_keeps_matrix_invertible_over_z_grid(self):
+        for name in ("xi2+exp(ix)", "xi+exp(-ix)"):
+            spec = catalog_symbol(name)
+            for z in (complex(re, im) for re in (-1.0, 0.25, 1.5)
+                      for im in (-0.8, 0.0, 0.8)):
+                xi_bound = certified_xi_bound(spec, Disk(z, 0.6))
+                ptilde, grid, _ = shifted_symbol_for(spec, z, [z], 0.1,
+                                                     xi_bound)
+                pt = assemble_toroidal_pdo(ptilde, grid)
+                assert singular_values(pt, z)[0] >= 0.02, (name, z)
 
     def test_lifted_symbol_agrees_outside_window(self):
         spec = catalog_symbol("xi2+exp(ix)")
