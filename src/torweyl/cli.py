@@ -56,6 +56,7 @@ from .spectral import (
     eigenvalues,
     grushin_solve,
     pseudospectrum,
+    single_blas_thread,
     spectral_functional,
 )
 from .symbols import (
@@ -363,6 +364,9 @@ SPECTRUM = {
 }
 
 
+# the eigensolves and the Schur form run on one BLAS thread, as run_ensemble's
+# trials do; a contextlib context manager can decorate a function
+@single_blas_thread()
 def cmd_spectrum(v: dict, out_dir: Path) -> int:
     spec = one_of(v, "symbol.model", "symbol.file")
     region = one_of(v, "region.rect", "region.disk")

@@ -38,6 +38,7 @@ from .spectral import (
     count_in_region,
     eigenvalues,
     log_abs_det,
+    single_blas_thread,
     singular_values,
 )
 from .symbols import (
@@ -408,8 +409,9 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> WeylReport:
     """Full Monte Carlo report over the configured h list.
 
     Trials are independent tasks keyed by (h, trial index) and folded in
-    index order, so the report is a pure function of the configuration for
-    any worker count.
+    index order.  Their linear algebra runs on one BLAS thread
+    (``single_blas_thread``), so on a given CPU the report is a pure function
+    of the configuration for any worker count and any BLAS thread setting.
     """
     if config.n_trials < 1:
         raise InvalidConfigError("n_trials must be at least 1")
@@ -426,16 +428,19 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> WeylReport:
     # every h is set up before any trial runs, so a bad h fails fast
     contexts = [_context_for_h(config, h, info, volume) for h in config.h_list]
     raw: list[tuple[_TrialContext, TrialResult, list[TrialResult]]] = []
-    for ctx in contexts:
-        baseline = _baseline_trial(ctx)
-        indices = list(range(config.n_trials))
-        if workers > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                trials = list(pool.map(
-                    lambda i: _run_trial_in_context(ctx, i), indices))
-        else:
-            trials = [_run_trial_in_context(ctx, i) for i in indices]
-        raw.append((ctx, baseline, trials))
+    # worker threads each drive a single-threaded BLAS, rather than all of
+    # them sharing the cores with BLAS threads of their own
+    with single_blas_thread():
+        for ctx in contexts:
+            baseline = _baseline_trial(ctx)
+            indices = list(range(config.n_trials))
+            if workers > 1:
+                with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+                    trials = list(pool.map(
+                        lambda i: _run_trial_in_context(ctx, i), indices))
+            else:
+                trials = [_run_trial_in_context(ctx, i) for i in indices]
+            raw.append((ctx, baseline, trials))
 
     # the constant is fit at the largest h and reported, never assumed
     h_max = max(config.h_list)

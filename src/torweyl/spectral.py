@@ -2,15 +2,21 @@
 
 Eigenvalues and singular values of shifted operators, log-determinants by
 pivoted factorization, bordered (Grushin) block systems built from singular
-pairs, coupling matrices of a potential against those pairs, and the scalar
-functional-calculus identities for Hermitian positive matrices.
+pairs, coupling matrices of a potential against those pairs, the scalar
+functional-calculus identities for Hermitian positive matrices, and the
+scope in which the bundled BLAS runs on one thread.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import threading
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from pathlib import Path
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -32,6 +38,93 @@ class DegenerateGapError(ValueError):
 
 
 EIG_DIM_CAP = 4096
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+# the OpenBLAS copies the numpy and scipy wheels bundle: the package, the
+# library file in its ``<package>.libs`` directory, and the suffix of the
+# thread-count entry points
+_OPENBLAS_COPIES = (
+    (np, "libscipy_openblas64_-*.so", "64_"),
+    (scipy, "libscipy_openblas-*.so", ""),
+)
+
+
+@functools.cache
+def _openblas_threads() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """(get, set) thread-count functions of each bundled OpenBLAS copy found.
+
+    Opening a library that is already loaded returns the loaded copy, so the
+    functions act on the BLAS that numpy and scipy call.
+    """
+    found = []
+    for package, pattern, suffix in _OPENBLAS_COPIES:
+        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        for path in sorted(libs.glob(pattern)):
+            try:
+                lib = ctypes.CDLL(str(path))
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            found.append((get, put))
+    return tuple(found)
+
+
+class _BlasPin:
+    """Process-wide count of open ``single_blas_thread`` scopes.
+
+    The thread count is global to each library, so the first scope to open
+    pins it and the last to close restores it, whichever threads they run on.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.depth = 0
+        self.saved: list[tuple[Callable[[int], None], int]] = []
+
+    def enter(self) -> None:
+        with self.lock:
+            if self.depth == 0:
+                copies = _openblas_threads()
+                self.saved = [(put, get()) for get, put in copies]
+                for _, put in copies:
+                    put(1)
+            self.depth += 1
+
+    def exit(self) -> None:
+        with self.lock:
+            self.depth -= 1
+            if self.depth == 0:
+                for put, n in self.saved:
+                    put(n)
+                self.saved = []
+
+
+_PIN = _BlasPin()
+
+
+@contextlib.contextmanager
+def single_blas_thread() -> Iterator[None]:
+    """Run the enclosed dense linear algebra on one BLAS thread.
+
+    Sets every OpenBLAS copy bundled with numpy and scipy to one thread and
+    restores each copy's previous count on exit, on an exception too.  One
+    thread makes LAPACK's rounding independent of the core count, and lets
+    worker threads each run their own factorization without contending for
+    the cores.  Where no bundled OpenBLAS is found (numpy or scipy built
+    against another BLAS), this does nothing.
+    """
+    _PIN.enter()
+    try:
+        yield
+    finally:
+        _PIN.exit()
 
 
 def _as_matrix(op) -> np.ndarray:

@@ -537,11 +537,41 @@ def range_samples(spec: SymbolSpec, grid: PhaseGrid, max_samples: int = 200_000)
 
 
 def distance_to_samples(samples: np.ndarray, z) -> np.ndarray:
-    """Min distance from each z to the sampled symbol values."""
+    """Min distance from each z to the sampled symbol values.
+
+    The samples are sorted once into horizontal bands, by real part within a
+    band.  The distance to every 64th sample bounds a point's distance from
+    above, so its nearest sample lies in the bands and real-part windows
+    within that bound, and only those candidates are measured.  The result
+    agrees with a scan over every sample (they measured bit-equal on the
+    acceptance config), without that scan's O(samples) work per point.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
+    samples = np.asarray(samples, dtype=complex).ravel()
+    n_bands = max(1, math.isqrt(samples.size) // 8)
+    im_lo, re_lo = samples.imag.min(), samples.real.min()
+    height = (samples.imag.max() - im_lo) / n_bands or 1.0
+    width = 2.0 * ((samples.real.max() - re_lo) or 1.0)
+
+    def band(im):
+        return np.clip((im - im_lo) // height, 0, n_bands - 1)
+
+    def key(b, re):
+        # the band index plus the real part mapped monotonely into [0, 1/2]
+        return b + np.clip((re - re_lo) / width, 0.0, 0.5)
+
+    keys = key(band(samples.imag), samples.real)
+    order = np.argsort(keys)
+    keys, ordered = keys[order], samples[order]
+    coarse = samples[::64]
     out = np.empty(z.shape, dtype=float)
     for i, zz in enumerate(z):
-        out[i] = float(np.min(np.abs(samples - zz)))
+        bound = np.min(np.abs(coarse - zz))
+        bands = np.arange(band(zz.imag - bound), band(zz.imag + bound) + 1)
+        lo = np.searchsorted(keys, key(bands, zz.real - bound), "left")
+        hi = np.searchsorted(keys, key(bands, zz.real + bound), "right")
+        near = np.concatenate([ordered[a:b] for a, b in zip(lo, hi)])
+        out[i] = np.min(np.abs(near - zz), initial=bound)
     return out
 
 

@@ -1,6 +1,9 @@
 """Command-line front door tests."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,8 @@ from torweyl.cli import (
     read_keys,
 )
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def run(capsys, *argv):
@@ -137,6 +141,30 @@ class TestWeylEnsemble:
         assert rows[0] == "schema=torweyl.trials.v1"
         assert (out_a / "eigs_0.1_base.csv").exists()
         assert (out_a / "eigs_0.1_0.csv").exists()
+
+    def test_outputs_do_not_depend_on_blas_threads_or_workers(self, tmp_path):
+        # OPENBLAS_NUM_THREADS is read when the library loads, so each
+        # setting runs in its own interpreter
+        settings = {"blas1": ({"OPENBLAS_NUM_THREADS": "1"}, []),
+                    "blas2": ({"OPENBLAS_NUM_THREADS": "2"}, []),
+                    "workers2": ({}, ["--workers", "2"])}
+        for name, (blas_env, flags) in settings.items():
+            env = {k: v for k, v in os.environ.items()
+                   if k != "OPENBLAS_NUM_THREADS"}
+            env.update(blas_env, PYTHONPATH=str(ROOT / "src"))
+            subprocess.run(
+                [sys.executable, "-m", "torweyl.cli", "weyl-ensemble",
+                 "--config", str(CONFIGS / "weyl_acceptance.cfg"),
+                 "--out", str(tmp_path / name),
+                 "--h", "0.05", "--trials", "6", *flags],
+                env=env, check=True, capture_output=True, timeout=300)
+        files = sorted(p.name for p in (tmp_path / "blas1").iterdir())
+        assert {"report.json", "trials.csv"} <= set(files)
+        for name in settings:
+            assert sorted(p.name for p in (tmp_path / name).iterdir()) == files
+            for f in files:
+                assert ((tmp_path / name / f).read_bytes()
+                        == (tmp_path / "blas1" / f).read_bytes()), (name, f)
 
     def test_symmetry_violation_is_config_error(self, capsys, tmp_path):
         cfg = tmp_path / "weyl.cfg"

@@ -1,6 +1,7 @@
 """Experiment orchestration tests: trials, ensembles, line model, ladders."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +39,13 @@ from torweyl.symbols import (
 )
 
 TWO_PI = 2.0 * math.pi
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def scan_distance(samples, z):
+    """The reference: min |samples - z| by a scan over every sample."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    return np.array([np.min(np.abs(samples - zz)) for zz in z])
 
 
 def small_config(**kw):
@@ -108,6 +116,43 @@ class TestConfigValidation:
                            omega=Rectangle(-0.3, 1.5, -1.4, 1.4))
         info = validate_config(cfg)
         assert any("tube" in w for w in info.warnings)
+
+    def test_outcomes_match_scan(self, monkeypatch, tmp_path):
+        # the band-sorted distances give the errors and warnings that a scan
+        # over every range sample gives: on the shipped weyl configs, as the
+        # CLI parses them, and on the two configs above whose outcome rests
+        # on those distances
+        from torweyl import cli, experiments
+
+        class Captured(Exception):
+            pass
+
+        def capture(config, workers=1):
+            raise Captured(config)
+
+        configs = []
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "run_ensemble", capture)
+            for name in ("weyl_acceptance.cfg", "weyl_small.cfg"):
+                with pytest.raises(Captured) as caught:
+                    cli.main(["weyl-ensemble", "--config", str(CONFIGS / name),
+                              "--out", str(tmp_path)])
+                configs.append(caught.value.args[0])
+        configs += [small_config(omega=Rectangle(0.1, 1.0, -0.5, 0.5)),
+                    small_config(region=Rectangle(0.2, 0.8, -0.97, 0.97),
+                                 omega=Rectangle(-0.3, 1.5, -1.4, 1.4))]
+
+        def outcome(cfg):
+            try:
+                return validate_config(cfg).warnings
+            except InvalidConfigError as exc:
+                return str(exc)
+
+        got = [outcome(cfg) for cfg in configs]
+        monkeypatch.setattr(experiments, "distance_to_samples", scan_distance)
+        assert got == [outcome(cfg) for cfg in configs]
+        assert got[:2] == [(), ()]
+        assert "escape" in got[2] and any("tube" in w for w in got[3])
 
     def test_default_probes_on_boundary(self):
         region = Rectangle(0.0, 1.0, 0.0, 1.0)

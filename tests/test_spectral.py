@@ -1,16 +1,20 @@
 """Dense linear-algebra layer tests."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from torweyl import spectral
 from torweyl.operators import GridParams, assemble_multiplier
 from torweyl.spectral import (
     BumpFunction,
     DegenerateGapError,
     SingularMatrixError,
+    SolverError,
     coupling_matrix,
     count_in_region,
     det_factorization_residual,
@@ -18,6 +22,7 @@ from torweyl.spectral import (
     grushin_solve,
     log_abs_det,
     pseudospectrum,
+    single_blas_thread,
     singular_values,
     spectral_functional,
 )
@@ -368,3 +373,70 @@ class TestPseudospectrum:
         zs = [complex(x, 0.3) for x in np.linspace(-5, 5, 11)]
         first = np.array(pseudospectrum(a, zs))
         assert first.tobytes() == np.array(pseudospectrum(a, zs)).tobytes()
+
+
+class TestSingleBlasThread:
+    @pytest.fixture
+    def copies(self):
+        """Every bundled OpenBLAS copy found, set to 2 threads for the test."""
+        copies = spectral._openblas_threads()
+        if not copies:
+            pytest.skip("no bundled OpenBLAS copy found")
+        original = [get() for get, _ in copies]
+        for _, put in copies:
+            put(2)
+        yield copies
+        for (_, put), n in zip(copies, original):
+            put(n)
+
+    @staticmethod
+    def threads(copies):
+        return [get() for get, _ in copies]
+
+    def test_pins_every_copy_and_restores(self, copies):
+        with single_blas_thread():
+            assert self.threads(copies) == [1] * len(copies)
+            with single_blas_thread():
+                assert self.threads(copies) == [1] * len(copies)
+            assert self.threads(copies) == [1] * len(copies)
+        assert self.threads(copies) == [2] * len(copies)
+
+    def test_restores_after_exception(self, copies):
+        with pytest.raises(SolverError):
+            with single_blas_thread():
+                assert self.threads(copies) == [1] * len(copies)
+                raise SolverError("inside")
+        assert self.threads(copies) == [2] * len(copies)
+
+    def test_without_openblas_does_nothing(self, copies, monkeypatch):
+        monkeypatch.setattr(spectral, "_openblas_threads", lambda: ())
+        with single_blas_thread():
+            assert self.threads(copies) == [2] * len(copies)
+            eigs = eigenvalues(np.diag([1.0, 2.0]))
+        assert sorted(eigs.real) == [1.0, 2.0]
+        assert self.threads(copies) == [2] * len(copies)
+
+    def test_overlapping_scopes_on_threads(self, copies):
+        # scopes that open and close on several threads at once keep the
+        # copies pinned while any is open and restore them after the last
+        wrong = []
+
+        def work():
+            for _ in range(200):
+                with single_blas_thread():
+                    if self.threads(copies) != [1] * len(copies):
+                        wrong.append(self.threads(copies))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert wrong == []
+        assert self.threads(copies) == [2] * len(copies)

@@ -19,6 +19,7 @@ from torweyl.symbols import (
     certified_xi_bound,
     check_ellipticity,
     check_symmetry,
+    distance_to_samples,
     estimate_kappa,
     sublevel_volumes,
     volume_preimage,
@@ -320,3 +321,39 @@ class TestSerialization:
         assert rec[0] == "potential v1"
         assert rec[1] == "seed 77"
         assert len(rec) == 2 + plan.D
+
+
+def scan_distance(samples, z):
+    """The reference: min |samples - z| by a scan over every sample."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    return np.array([np.min(np.abs(samples - zz)) for zz in z])
+
+
+class TestDistanceToSamples:
+    def test_matches_scan_for_array_z(self):
+        rng = np.random.default_rng(11)
+        samples = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+        z = 2.0 * (rng.standard_normal(300) + 1j * rng.standard_normal(300))
+        z[:3] = samples[:3]                      # exact hits are 0
+        got = distance_to_samples(samples, z)
+        assert got.shape == z.shape
+        assert np.all(got[:3] == 0.0)
+        np.testing.assert_allclose(got, scan_distance(samples, z),
+                                   rtol=0.0, atol=1e-15)
+
+    def test_matches_scan_for_samples_on_a_line(self):
+        # every sample has the same imaginary part: one band of zero height
+        rng = np.random.default_rng(13)
+        samples = rng.standard_normal(500) + 0.25j
+        z = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        np.testing.assert_allclose(distance_to_samples(samples, z),
+                                   scan_distance(samples, z),
+                                   rtol=0.0, atol=1e-15)
+        assert distance_to_samples(samples[:1], z[:1])[0] == abs(samples[0] - z[0])
+
+    def test_matches_scan_for_scalar_z(self):
+        rng = np.random.default_rng(12)
+        samples = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+        got = distance_to_samples(samples, 0.3 - 1.7j)
+        assert got.shape == (1,)
+        assert abs(got[0] - scan_distance(samples, 0.3 - 1.7j)[0]) <= 1e-15
