@@ -185,16 +185,25 @@ class SymbolSpec:
     def eval_principal(self, x, xi):
         """p(x, xi) by Horner recursion in xi; broadcasts over arrays."""
         x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        out = self.top(x)
-        if self.m == 0:     # p = a_0(x): no xi factor broadcasts it
-            return np.broadcast_to(out, np.broadcast_shapes(x.shape, xi.shape)).copy()
-        for alpha in range(self.m - 1, -1, -1):
-            out = out * xi + self.a[alpha](x)
-        return out
+        return _horner([c(x) for c in self.a], xi)
 
     def lower_order_sup_bounds(self) -> list[float]:
         return [self.a[alpha].sup_bound() for alpha in range(self.m)]
+
+
+def _horner(coeff_values: list, xi) -> np.ndarray:
+    """sum_a coeff_values[a] * xi^a by Horner recursion; broadcasts over arrays.
+
+    xi is real, so each product rounds the same in every numpy loop; the
+    complex products of a symbol's values all happen in its coefficients.
+    """
+    xi = np.asarray(xi, dtype=float)
+    out = coeff_values[-1]
+    if len(coeff_values) == 1:      # p = a_0(x): no xi factor broadcasts it
+        return np.broadcast_to(out, np.broadcast_shapes(out.shape, xi.shape)).copy()
+    for values in coeff_values[-2::-1]:
+        out = out * xi + values
+    return out
 
 
 def check_ellipticity(spec: SymbolSpec, x_samples: int = 256) -> tuple[bool, float]:
@@ -243,14 +252,19 @@ class Rectangle:
             & (z.imag <= self.im_hi)
         )
 
-    def boundary_distance(self, z):
-        """Distance from z to the rectangle's boundary curve."""
+    def distance(self, z):
+        """Distance from z to the closed rectangle (zero inside)."""
         z = np.asarray(z, dtype=complex)
         dx_out = np.maximum.reduce([self.re_lo - z.real, z.real - self.re_hi,
                                     np.zeros(z.shape)])
         dy_out = np.maximum.reduce([self.im_lo - z.imag, z.imag - self.im_hi,
                                     np.zeros(z.shape)])
-        outside = np.hypot(dx_out, dy_out)
+        return np.hypot(dx_out, dy_out)
+
+    def boundary_distance(self, z):
+        """Distance from z to the rectangle's boundary curve."""
+        z = np.asarray(z, dtype=complex)
+        outside = self.distance(z)
         inside = np.minimum.reduce([z.real - self.re_lo, self.re_hi - z.real,
                                     z.imag - self.im_lo, self.im_hi - z.imag])
         return np.where(outside > 0.0, outside, np.maximum(inside, 0.0))
@@ -292,6 +306,11 @@ class Disk:
         z = np.asarray(z, dtype=complex)
         return np.abs(z - self.center) <= self.radius
 
+    def distance(self, z):
+        """Distance from z to the closed disk (zero inside)."""
+        z = np.asarray(z, dtype=complex)
+        return np.maximum(np.abs(z - self.center) - self.radius, 0.0)
+
     def boundary_distance(self, z):
         z = np.asarray(z, dtype=complex)
         return np.abs(np.abs(z - self.center) - self.radius)
@@ -319,6 +338,10 @@ class BoundaryTube:
 
     def contains(self, z):
         return self.base.boundary_distance(z) <= self.r
+
+    def distance(self, z):
+        """Distance from z to the tube (zero inside)."""
+        return np.maximum(self.base.boundary_distance(z) - self.r, 0.0)
 
     def sup_abs(self) -> float:
         return self.base.sup_abs() + self.r
@@ -446,21 +469,74 @@ def default_grid(spec: SymbolSpec, region: Region,
 # ---------------------------------------------------------------------------
 
 _CHUNK_ROWS = 128
+_BLOCK = 32     # xi nodes per block that the pruned sweep keeps or skips whole
+_SWEEP_ROWS = 64    # x-rows per pruned-sweep step: 64 x 128 block heads = 128 KiB at n_xi 4096
+_PIECE = 256        # kept blocks per array the pruned sweep yields: 128 KiB of p
 
 
-def _sweep(spec: SymbolSpec, x: np.ndarray, xi: np.ndarray) -> Iterator[np.ndarray]:
-    """p on the tensor grid x by xi, in blocks of _CHUNK_ROWS x-rows."""
-    for lo in range(0, len(x), _CHUNK_ROWS):
-        yield spec.eval_principal(x[lo:lo + _CHUNK_ROWS, None], xi[None, :])
+def _coefficients(spec: SymbolSpec, rows: np.ndarray) -> list:
+    """a_a(x) for one block of x-rows, as a column, as eval_principal makes it.
+
+    Gathering from these values, rather than evaluating the coefficients at
+    gathered x, keeps each node's bits: numpy multiplies complex arrays of
+    256 KiB or more in place by another loop, which rounds differently.
+    """
+    return [c(rows[:, None]) for c in spec.a]
+
+
+def _near_region(spec: SymbolSpec, region: Region,
+                 grid: PhaseGrid) -> Iterator[np.ndarray]:
+    """p at the grid nodes that can lie in the region, by blocks of x-rows.
+
+    The xi nodes are cut into blocks of _BLOCK.  On the slab |xi| <= R,
+    L = sum_a a ||a_a||_1 R^(a-1) bounds |dp/dxi|, so p moves by at most
+    L (_BLOCK - 1) dxi within a block.  A block is skipped when p at its first
+    node lies farther than that from the region, plus a slack of
+    4096 (1 + bandwidth) ulps of the largest |p| and |z| involved, far above
+    the rounding error of p and of the distance; so every skipped node lies
+    outside the region in floating point too.  The kept blocks are
+    evaluated by eval_principal's arithmetic: the coefficients a_a(x) on the
+    block of rows, as the full grid computes them, then Horner's rule on the
+    kept nodes.  Each node gets the full grid's value, so counts over the
+    yielded values are the full grid's counts.
+
+    Each step takes _SWEEP_ROWS rows and yields their kept blocks in
+    row-major order, at most _PIECE blocks per array.  The arrays then stay
+    in cache and the allocator reuses their memory, instead of mapping and
+    faulting in megabytes afresh at every step.
+    """
+    x, xi = grid.x_nodes(), grid.xi_nodes()
+    r = max(abs(grid.xi_lo), abs(grid.xi_hi))
+    sups = [c.sup_bound() for c in spec.a]
+    lipschitz = sum(a * s * r ** (a - 1) for a, s in enumerate(sups) if a >= 1)
+    scale = sum(s * r ** a for a, s in enumerate(sups)) + region.sup_abs()
+    slack = 2.0 ** -40 * (1 + max(c.bandwidth for c in spec.a)) * scale
+    step = (grid.xi_hi - grid.xi_lo) / grid.n_xi
+    reach = lipschitz * (_BLOCK - 1) * step + slack
+    n_blocks = -(-grid.n_xi // _BLOCK)
+    cols = np.arange(n_blocks * _BLOCK).reshape(n_blocks, _BLOCK)
+    valid = cols < grid.n_xi                    # the last block may be partial
+    blocks = xi[np.minimum(cols, grid.n_xi - 1)]
+    for lo in range(0, len(x), _SWEEP_ROWS):
+        coeffs = _coefficients(spec, x[lo:lo + _SWEEP_ROWS])
+        gap = region.distance(_horner(coeffs, blocks[None, :, 0]))
+        kept_i, kept_b = np.nonzero(~(gap > reach))     # a NaN keeps its block
+        for lo_k in range(0, len(kept_i), _PIECE):
+            i, b = kept_i[lo_k:lo_k + _PIECE], kept_b[lo_k:lo_k + _PIECE]
+            yield _horner([c[i] for c in coeffs], blocks[b])[valid[b]]
 
 
 def volume_preimage(spec: SymbolSpec, region: Region, grid: PhaseGrid) -> float:
-    """Midpoint-rule measure of {(x, xi) : p(x, xi) in region}."""
+    """Midpoint-rule measure of {(x, xi) : p(x, xi) in region}.
+
+    Only the grid blocks that can reach the region are evaluated; the count
+    equals the count over every node.
+    """
     ok, msg = certify_grid(spec, region, grid)
     if not ok:
         raise ContainmentError(msg)
     count = sum(int(np.count_nonzero(region.contains(vals)))
-                for vals in _sweep(spec, grid.x_nodes(), grid.xi_nodes()))
+                for vals in _near_region(spec, region, grid))
     return count * grid.cell_area
 
 
@@ -468,13 +544,14 @@ def sublevel_volumes(spec: SymbolSpec, z: complex, t_values,
                      grid: PhaseGrid) -> np.ndarray:
     """Volumes of {|p - z|^2 <= t} for every t in one sweep of the grid."""
     t = np.asarray(t_values, dtype=float)
-    ok, msg = certify_grid(spec, Disk(z, math.sqrt(float(t.max()))), grid)
+    disk = Disk(z, math.sqrt(float(t.max())))
+    ok, msg = certify_grid(spec, disk, grid)
     if not ok:
         raise ContainmentError(msg)
     counts = np.zeros(t.shape, dtype=np.int64)
-    for vals in _sweep(spec, grid.x_nodes(), grid.xi_nodes()):
+    for vals in _near_region(spec, disk, grid):
         s = np.abs(vals - z) ** 2
-        counts += (s.ravel()[:, None] <= t[None, :]).sum(axis=0)
+        counts += np.searchsorted(np.sort(s), t, side="right")
     return counts * grid.cell_area
 
 
@@ -482,13 +559,16 @@ def boundary_cell_measure(spec: SymbolSpec, region: Region, grid: PhaseGrid) -> 
     """Total measure of cells whose corners disagree about membership.
 
     This is the midpoint rule's bookkeeping quantity: refining the grid can
-    move the measure only within the boundary cells.
+    move the measure only within the boundary cells.  The quadrature
+    refinement test uses it as its reference budget.
     """
     x = np.arange(grid.n_x + 1) * (TWO_PI / grid.n_x)
     step = (grid.xi_hi - grid.xi_lo) / grid.n_xi
     xi = grid.xi_lo + np.arange(grid.n_xi + 1) * step
-    inside = np.concatenate([region.contains(vals)
-                             for vals in _sweep(spec, x, xi)])
+    inside = np.concatenate([
+        region.contains(spec.eval_principal(x[lo:lo + _CHUNK_ROWS, None],
+                                            xi[None, :]))
+        for lo in range(0, len(x), _CHUNK_ROWS)])
     cells = inside[:-1, :-1] | inside[1:, :-1] | inside[:-1, 1:] | inside[1:, 1:]
     full = inside[:-1, :-1] & inside[1:, :-1] & inside[:-1, 1:] & inside[1:, 1:]
     return int(np.count_nonzero(cells & ~full)) * grid.cell_area
@@ -530,10 +610,20 @@ def estimate_kappa(spec: SymbolSpec, z: complex, t_lo: float, t_hi: float,
 
 
 def range_samples(spec: SymbolSpec, grid: PhaseGrid, max_samples: int = 200_000) -> np.ndarray:
-    """Flattened samples of p over the grid, decimated to max_samples."""
+    """Samples of p over the grid, decimated to about max_samples.
+
+    Each block of _CHUNK_ROWS x-rows contributes every stride-th of its nodes
+    in row-major order, and only those nodes are evaluated.
+    """
     stride = max(1, grid.n_x * grid.n_xi // max_samples)
-    return np.concatenate([block.ravel()[::stride] for block in
-                           _sweep(spec, grid.x_nodes(), grid.xi_nodes())])
+    x, xi, n = grid.x_nodes(), grid.xi_nodes(), grid.n_xi
+    out = []
+    for lo in range(0, grid.n_x, _CHUNK_ROWS):
+        block = x[lo:lo + _CHUNK_ROWS]
+        rows, cols = np.divmod(np.arange(0, len(block) * n, stride), n)
+        coeffs = _coefficients(spec, block)
+        out.append(_horner([c[rows, 0] for c in coeffs], xi[cols]))
+    return np.concatenate(out)
 
 
 def distance_to_samples(samples: np.ndarray, z) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Property tests: TrigPoly algebra, the text-format round trips and the
-Toeplitz build of convolution matrices."""
+"""Property tests: TrigPoly algebra, the text-format round trips, the
+Toeplitz build of convolution matrices and the pruned phase-space sweep."""
 
 import math
 
@@ -14,10 +14,18 @@ from torweyl import serialize  # noqa: E402
 from torweyl.operators import GridParams, convolution_matrix  # noqa: E402
 from torweyl.symbols import (  # noqa: E402
     BoundaryTube,
+    ContainmentError,
     Disk,
+    PhaseGrid,
     Rectangle,
     SymbolSpec,
     TrigPoly,
+    _near_region,
+    certified_xi_bound,
+    certify_grid,
+    range_samples,
+    sublevel_volumes,
+    volume_preimage,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -125,4 +133,178 @@ class TestConvolutionMatrix:
         want = convolution_matrix_by_loop(u, grid)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+# The full-grid quadrature that the pruned sweep replaced, kept as the
+# reference: p at every node, 128 x-rows at a time.
+
+def full_sweep(spec: SymbolSpec, grid: PhaseGrid):
+    x, xi = grid.x_nodes(), grid.xi_nodes()
+    for lo in range(0, len(x), 128):
+        yield spec.eval_principal(x[lo:lo + 128, None], xi[None, :])
+
+
+def volume_by_full_sweep(spec, region, grid):
+    ok, msg = certify_grid(spec, region, grid)
+    if not ok:
+        raise ContainmentError(msg)
+    count = sum(int(np.count_nonzero(region.contains(vals)))
+                for vals in full_sweep(spec, grid))
+    return count * grid.cell_area
+
+
+def sublevel_by_full_sweep(spec, z, t_values, grid):
+    t = np.asarray(t_values, dtype=float)
+    ok, msg = certify_grid(spec, Disk(z, math.sqrt(float(t.max()))), grid)
+    if not ok:
+        raise ContainmentError(msg)
+    counts = np.zeros(t.shape, dtype=np.int64)
+    for vals in full_sweep(spec, grid):
+        s = np.abs(vals - z) ** 2
+        counts += (s.ravel()[:, None] <= t[None, :]).sum(axis=0)
+    return counts * grid.cell_area
+
+
+def outcome(f, *args):
+    """The function's value, or the string "uncertified" if it refuses the grid."""
+    try:
+        return f(*args)
+    except ContainmentError:
+        return "uncertified"
+
+
+sizes = st.floats(min_value=1e-3, max_value=30.0)
+offsets = st.complex_numbers(max_magnitude=30.0, allow_nan=False,
+                             allow_infinity=False)
+
+
+@st.composite
+def elliptic_specs(draw):
+    """Order 0-3 symbols whose top coefficient stays at least |c|/2 from zero."""
+    m = draw(st.integers(0, 3))
+    c = draw(st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0,
+                                allow_nan=False, allow_infinity=False))
+    ripple = draw(st.dictionaries(
+        st.integers(-3, 3).filter(bool),
+        st.complex_numbers(max_magnitude=abs(c) / 8, allow_nan=False,
+                           allow_infinity=False),
+        max_size=3))
+    lower = tuple(draw(trig_polys()) for _ in range(m))
+    return SymbolSpec(m=m, a=lower + (TrigPoly({0: c, **ripple}),))
+
+
+@st.composite
+def slab_grids(draw, spec, region):
+    """A grid around the certified slab, or around [-1, 1] if there is none."""
+    try:
+        bound = certified_xi_bound(spec, region)
+    except ContainmentError:
+        bound = 1.0
+    lo = -bound * draw(st.floats(1.0, 1.5))
+    hi = bound * draw(st.floats(1.0, 1.5))
+    return PhaseGrid(n_x=draw(st.integers(1, 16)), xi_lo=lo, xi_hi=hi,
+                     n_xi=draw(st.integers(1, 5000)))
+
+
+@st.composite
+def symbol_values(draw, spec):
+    x0 = draw(st.floats(0.0, 2.0 * math.pi))
+    xi0 = draw(st.floats(-3.0, 3.0))
+    return complex(spec.eval_principal(x0, xi0))
+
+
+@st.composite
+def volume_cases(draw):
+    """A symbol, a region near one of its values or far off, and a grid."""
+    spec = draw(elliptic_specs())
+    c = draw(symbol_values(spec)) + draw(offsets)
+    w, ht = draw(sizes), draw(sizes)
+    base = draw(st.sampled_from([
+        Rectangle(c.real - w, c.real + w, c.imag - ht, c.imag + ht),
+        Disk(c, w),
+    ]))
+    region = BoundaryTube(base, draw(sizes)) if draw(st.booleans()) else base
+    return spec, region, draw(slab_grids(spec, region))
+
+
+@st.composite
+def sublevel_cases(draw):
+    spec = draw(elliptic_specs())
+    z = draw(symbol_values(spec)) + draw(st.complex_numbers(
+        max_magnitude=2.0, allow_nan=False, allow_infinity=False))
+    t = np.array(draw(st.lists(st.floats(1e-6, 10.0), min_size=1, max_size=12)))
+    return spec, z, t, draw(slab_grids(spec, Disk(z, math.sqrt(t.max()))))
+
+
+XI_LINE = SymbolSpec(m=1, a=(TrigPoly.zero(), TrigPoly.constant(1.0)))
+COMPLEX_MODES = SymbolSpec(m=2, a=(TrigPoly({-1: 1.5 + 1j, 2: 0.3 - 0.7j}),
+                                   TrigPoly({1: 0.25 + 0.5j}),
+                                   TrigPoly({0: 1.0, 3: 0.1 + 0.2j})))
+LONG_GRID = PhaseGrid(n_x=16, xi_lo=-2.0, xi_hi=2.0, n_xi=100_000)
+
+
+class TestPrunedSweep:
+    """volume_preimage and sublevel_volumes give the full grid's counts."""
+
+    @SETTINGS
+    @given(volume_cases())
+    @example((XI_LINE, Disk(0.0, 0.2), LONG_GRID))
+    @example((XI_LINE, Rectangle(-0.5, 0.3, -1.0, 1.0), LONG_GRID))
+    def test_volume_equals_full_grid(self, case):
+        spec, region, grid = case
+        assert (outcome(volume_preimage, spec, region, grid)
+                == outcome(volume_by_full_sweep, spec, region, grid))
+
+    @SETTINGS
+    @given(sublevel_cases())
+    @example((XI_LINE, 0.0, np.geomspace(1e-4, 1e-1, 8), LONG_GRID))
+    def test_sublevel_equals_full_grid(self, case):
+        spec, z, t, grid = case
+        got = outcome(sublevel_volumes, spec, z, t, grid)
+        want = outcome(sublevel_by_full_sweep, spec, z, t, grid)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_x, n_xi", [(130, 33), (256, 4100)])
+    def test_kept_values_are_the_full_grid_values(self, n_x, n_xi):
+        # a region that keeps every block, on grids whose gathered blocks
+        # reach numpy's in-place loops (256 KiB and more)
+        grid = PhaseGrid(n_x=n_x, xi_lo=-3.0, xi_hi=2.0, n_xi=n_xi)
+        got = np.concatenate(list(_near_region(COMPLEX_MODES, Disk(0.0, 1e300), grid)))
+        want = np.concatenate([v.ravel() for v in full_sweep(COMPLEX_MODES, grid)])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_x, n_xi", [(8, 1), (64, 70), (16, 4096)])
+    def test_sublevel_t_vectors(self, n_x, n_xi):
+        # unsorted and repeated t, t equal to node values, t below every
+        # |p - z|^2 and, on the coarse grid, t above all of them
+        spec = SymbolSpec(m=1, a=(TrigPoly.wave(-1), TrigPoly.constant(1.0)))
+        z = 0.3 + 0.4j
+        grid = PhaseGrid(n_x=n_x, xi_lo=-6.0, xi_hi=6.0, n_xi=n_xi)
+        s = np.sort(np.concatenate([np.abs(v - z).ravel() ** 2
+                                    for v in full_sweep(spec, grid)]))
+        tie, mid = s[len(s) // 4], s[len(s) // 2]
+        t = np.array([tie, s[0] / 2, mid, s[0] / 2, tie, 1e-300,
+                      min(s[-1] * 1.5, 8.0), np.nextafter(tie, 0.0)])
+        got = sublevel_volumes(spec, z, t, grid)
+        assert np.array_equal(got, sublevel_by_full_sweep(spec, z, t, grid))
+        assert got[1] == got[3] == got[5] == 0.0
+        assert got[0] == got[4] > got[7]
+        if n_xi == 1:
+            assert got[6] == n_x * n_xi * grid.cell_area
+
+
+class TestRangeSamples:
+    @SETTINGS
+    @given(symbol_specs(), st.integers(1, 300), st.integers(1, 300),
+           st.integers(1, 20_000))
+    @example(SymbolSpec(m=0, a=(TrigPoly({-1: 1.5 + 1j}),)), 128, 128, 8193)
+    @example(COMPLEX_MODES, 300, 300, 20_000)
+    def test_same_samples_as_decimated_full_grid(self, spec, n_x, n_xi, limit):
+        grid = PhaseGrid(n_x=n_x, xi_lo=-2.0, xi_hi=3.0, n_xi=n_xi)
+        stride = max(1, n_x * n_xi // limit)
+        want = np.concatenate([block.ravel()[::stride]
+                               for block in full_sweep(spec, grid)])
+        got = range_samples(spec, grid, limit)
+        assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
