@@ -26,7 +26,6 @@ import numpy as np
 from . import serialize
 from .experiments import (
     ExperimentConfig,
-    GuardError,
     InvalidConfigError,
     ResolutionError,
     config_object,
@@ -79,7 +78,7 @@ EXIT_NUMERIC = 3
 
 _NUMERIC_ERRORS = (
     SolverError, SingularMatrixError, DegenerateGapError, DegenerateFitError,
-    ContainmentError, GuardError, ResolutionError, ArithmeticError,
+    ContainmentError, ResolutionError, ArithmeticError,
 )
 _CONFIG_ERRORS = (InvalidConfigError, ParameterError)
 

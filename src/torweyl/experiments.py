@@ -4,8 +4,8 @@ Builds the operator for each h, derives the perturbation plan, runs seeded
 Monte Carlo trials, and compares eigenvalue counts in a spectral-plane
 region against the phase-space volume prediction vol(p^{-1}(Gamma))/(2 pi h).
 Also houses the transport-line counterexample harness (hD + g has a line
-spectrum no multiplicative perturbation can spread), singular-value ladder
-diagnostics, and the trace / log-determinant quadrature comparisons.
+spectrum no multiplicative perturbation can spread) and the trace /
+log-determinant quadrature comparisons.
 """
 
 from __future__ import annotations
@@ -314,14 +314,6 @@ def _baseline_trial(ctx: _TrialContext) -> TrialResult:
     return _measure(ctx, ctx.P, None, time.perf_counter())
 
 
-def run_trial(config: ExperimentConfig, h: float, trial_index: int) -> TrialResult:
-    """One seeded trial, deterministic in (config, h, trial_index)."""
-    info = validate_config(config)
-    volume = volume_preimage(config.spec, config.region, info.vol_grid)
-    return _run_trial_in_context(_context_for_h(config, h, info, volume),
-                                 trial_index)
-
-
 # ---------------------------------------------------------------------------
 # ensembles
 # ---------------------------------------------------------------------------
@@ -582,88 +574,6 @@ def line_model_check(g: TrigPoly, h: float, k_max: int, grid: GridParams,
         max_line_deviation=max_dev,
         tail_ratio=tail_ratio,
     )
-
-
-# ---------------------------------------------------------------------------
-# singular-value ladder diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LadderRung:
-    k: int
-    nu_lo: int
-    nu_hi: int
-    threshold: float
-    observed_min: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class LadderProfile:
-    singular: np.ndarray
-    n0: int
-    rungs: tuple[LadderRung, ...]
-    vacuous: bool
-
-
-def ladder_sizes(n0: int, theta: float, n_theta: int) -> list[int]:
-    """Index ladder: multiply by (1 - theta) while >= n_theta, then step by 1."""
-    if not (0.0 < theta <= 0.25):
-        raise ValueError("theta must lie in (0, 1/4]")
-    if n_theta < 2:
-        raise ValueError("n_theta must be at least 2")
-    sizes = [n0]
-    cur = n0
-    while cur >= n_theta:
-        cur = int(math.floor((1.0 - theta) * cur))
-        sizes.append(cur)
-        if cur <= 1:
-            return sizes
-    while cur > 1:
-        cur -= 1
-        sizes.append(cur)
-    return sizes
-
-
-def singular_ladder_profile(op, z: complex, plan: PerturbationPlan | None,
-                            theta: float = 0.2, n_theta: int = 4) -> LadderProfile:
-    """Observed singular-value ladder of (M - z) against the rung thresholds.
-
-    With no plan (or zero perturbation weight) the profile is just the raw
-    sorted singular values; nothing is asserted.  Otherwise rung k covers
-    indices (N^(k), N^(k-1)] with threshold tau0 h^{k N2}; the pass flag uses
-    the effective exponent form so that configured weights grade
-    on the scale actually applied.
-    """
-    t = singular_values(op, z)
-    if plan is None or plan.delta == 0.0:
-        return LadderProfile(singular=t, n0=0, rungs=(), vacuous=True)
-    tau0 = plan.tau0
-    n0 = int(np.count_nonzero(t < tau0))
-    if n0 == 0:
-        return LadderProfile(singular=t, n0=0, rungs=(), vacuous=True)
-    sizes = ladder_sizes(n0, theta, n_theta)
-    h = plan.h
-    n2 = plan.ladder_exponent()
-    slack = 1.0 - h ** (plan.n1_effective() + plan.n)
-    rungs: list[LadderRung] = []
-    for k in range(1, len(sizes)):
-        lo, hi = sizes[k], sizes[k - 1]
-        if hi <= lo:
-            continue
-        observed = float(np.min(t[lo:hi]))
-        threshold = tau0 * h ** (k * n2)
-        rungs.append(LadderRung(
-            k=k, nu_lo=lo + 1, nu_hi=hi, threshold=threshold,
-            observed_min=observed, passed=bool(observed >= slack * threshold),
-        ))
-    k_last = len(sizes)
-    threshold = tau0 * h ** (k_last * n2)
-    rungs.append(LadderRung(
-        k=k_last, nu_lo=1, nu_hi=1, threshold=threshold,
-        observed_min=float(t[0]), passed=bool(t[0] >= slack * threshold),
-    ))
-    return LadderProfile(singular=t, n0=n0, rungs=tuple(rungs), vacuous=False)
 
 
 # ---------------------------------------------------------------------------

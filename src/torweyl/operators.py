@@ -106,10 +106,6 @@ def assemble_differential(spec: SymbolSpec, grid: GridParams) -> OperatorMatrix:
     return OperatorMatrix(total, grid)
 
 
-def assemble_multiplier(q: TrigPoly, grid: GridParams) -> OperatorMatrix:
-    return OperatorMatrix(convolution_matrix(q, grid), grid)
-
-
 def assemble_toroidal_pdo(symbol: Callable, grid: GridParams,
                           n_x: int | None = None) -> OperatorMatrix:
     """Kohn-Nirenberg quantization of a general symbol(x, xi).

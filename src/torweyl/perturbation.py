@@ -88,22 +88,6 @@ class PerturbationPlan:
             == self.big_m_tilde + s * self.big_m + Fraction(n, 2),
         }
 
-    def n1_effective(self) -> float:
-        """Exponent e with total perturbation weight tau0 * h^(e + n) * h^e.
-
-        In derived mode this is N1 itself; in effective mode it is recovered
-        from the configured delta via delta = tau0 * h^(e + n).
-        """
-        if self.mode == "derived":
-            return float(self.n1)
-        if self.delta <= 0.0:
-            return math.inf
-        return math.log(self.delta / self.tau0) / math.log(self.h) - self.n
-
-    def ladder_exponent(self) -> float:
-        """Rung decay exponent N2 = 2*(N1 + n) + eps0 in effective form."""
-        return 2.0 * (self.n1_effective() + self.n) + self.eps0
-
     def as_dict(self) -> dict:
         return {
             "n": self.n,
@@ -231,15 +215,7 @@ class RandomPotential:
     """A draw q = sum_{0 < h|k| <= L} alpha_k eps_k with |alpha| <= R."""
 
     q: TrigPoly
-    ks: np.ndarray
     alpha: np.ndarray
-    seed: int
-    plan: PerturbationPlan
-
-    def coeff_l1(self) -> float:
-        """l1 mass of the coefficients of q; bounds both sup|q| and the
-        operator norm of multiplication by q."""
-        return float(np.sum(np.abs(self.alpha))) / math.sqrt(TWO_PI)
 
     def sup_q(self, n_samples: int = 4096) -> float:
         """Sampled sup norm of q; the multiplication-operator norm scale."""
@@ -286,43 +262,24 @@ def sample_potential(plan: PerturbationPlan, seed: int,
         alpha = radius * vec
     coeffs = {int(k): a / math.sqrt(TWO_PI) for k, a in zip(ks, alpha)}
     q = TrigPoly(coeffs, real=real_mode)
-    return RandomPotential(q=q, ks=ks, alpha=alpha, seed=seed, plan=plan)
+    return RandomPotential(q=q, alpha=alpha)
 
 
-def build_perturbed(
-    P: OperatorMatrix,
-    plan: PerturbationPlan,
-    pot: RandomPotential,
-    base: tuple[float, TrigPoly, TrigPoly] | None = None,
-) -> OperatorMatrix:
-    """P + delta h^N1 Conv(q), optionally on top of a generalized base.
+def build_perturbed(P: OperatorMatrix, plan: PerturbationPlan,
+                    pot: RandomPotential) -> OperatorMatrix:
+    """P + delta h^N1 Conv(q).
 
-    ``base = (delta0, q1, q2)`` first replaces P by
-    P + delta0 (h^{n/2} Conv(q1) + Conv(q2)); delta0 > h draws a warning.
     In effective mode the convolution is normalized by sup|q|, the
     multiplication-operator norm, so the added term has operator norm
     delta up to truncation; that is the point of an effective delta: a
     perturbation of a prescribed size.
     """
     grid = P.grid
-    h = grid.h
     entries = np.array(P.entries, dtype=complex)
-    if base is not None:
-        delta0, q1, q2 = base
-        if delta0 > h:
-            warnings.warn(
-                f"base weight delta0 = {delta0:g} exceeds h = {h:g}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        if not q1.is_zero():
-            entries += delta0 * h ** (plan.n / 2.0) * convolution_matrix(q1, grid, label="q1")
-        if not q2.is_zero():
-            entries += delta0 * convolution_matrix(q2, grid, label="q2")
     if plan.delta != 0.0:
-        conv = convolution_matrix(pot.q, grid, label="q")
+        conv = convolution_matrix(pot.q, grid)
         if plan.mode == "derived":
-            entries += plan.delta * h ** float(plan.n1) * conv
+            entries += plan.delta * grid.h ** float(plan.n1) * conv
         else:
             scale = pot.sup_q()
             if scale > 0.0:

@@ -1,4 +1,4 @@
-"""Text formats for symbols, regions, plans, potentials, matrices, reports.
+"""Text formats for symbols, regions, plans and reports.
 
 Everything here is line-oriented and diff-friendly.  Floats are written with
 repr (shortest round-trip), so identical inputs always produce identical
@@ -14,13 +14,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .operators import GridParams, OperatorMatrix
-from .perturbation import PerturbationPlan, RandomPotential
+from .perturbation import PerturbationPlan
 from .symbols import BoundaryTube, Disk, Rectangle, Region, SymbolSpec, TrigPoly
 
 SYMBOL_HEADER = "symbol v1"
-MATRIX_HEADER = "matrix v1"
-POTENTIAL_HEADER = "potential v1"
 PLAN_HEADER = "plan v1"
 
 
@@ -98,60 +95,14 @@ def dumps_region(region: Region) -> str:
     raise TypeError(f"not a region: {region!r}")
 
 
-def loads_region(text: str) -> Region:
-    parts = text.split()
-    if not parts:
-        raise ValueError("empty region record")
-    tag = parts[0]
-    if tag == "rectangle":
-        return Rectangle(*(float(p) for p in parts[1:5]))
-    if tag == "disk":
-        return Disk(complex(float(parts[1]), float(parts[2])), float(parts[3]))
-    if tag == "tube":
-        return BoundaryTube(loads_region(" ".join(parts[2:])), float(parts[1]))
-    raise ValueError(f"unknown region tag {tag!r}")
-
-
 # ---------------------------------------------------------------------------
-# matrices
-# ---------------------------------------------------------------------------
-
-def dumps_matrix(op: OperatorMatrix) -> str:
-    grid = op.grid
-    out = [MATRIX_HEADER, f"{grid.N} {grid.h!r} {grid.K}"]
-    for val in np.asarray(op.entries).ravel():
-        out.append(f"{float(val.real)!r} {float(val.imag)!r}")
-    return "\n".join(out) + "\n"
-
-
-def loads_matrix(text: str) -> OperatorMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines[0] != MATRIX_HEADER:
-        raise ValueError(f"expected leading {MATRIX_HEADER!r} line")
-    n_str, h_str, k_str = lines[1].split()
-    n, h, K = int(n_str), float(h_str), int(k_str)
-    vals = np.empty(n * n, dtype=complex)
-    for i, ln in enumerate(lines[2:2 + n * n]):
-        re, im = ln.split()
-        vals[i] = complex(float(re), float(im))
-    return OperatorMatrix(vals.reshape(n, n), GridParams(h=h, K=K))
-
-
-# ---------------------------------------------------------------------------
-# plans and potentials
+# plans
 # ---------------------------------------------------------------------------
 
 def plan_to_text(plan: PerturbationPlan) -> str:
     lines = [PLAN_HEADER]
     for key, val in plan.as_dict().items():
         lines.append(f"{key} = {val!r}")
-    return "\n".join(lines) + "\n"
-
-
-def potential_to_text(pot: RandomPotential) -> str:
-    lines = [POTENTIAL_HEADER, f"seed {pot.seed}"]
-    for k, a in zip(pot.ks, pot.alpha):
-        lines.append(f"{int(k)} {float(a.real)!r} {float(a.imag)!r}")
     return "\n".join(lines) + "\n"
 
 

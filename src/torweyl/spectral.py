@@ -2,9 +2,8 @@
 
 Eigenvalues and singular values of shifted operators, log-determinants by
 pivoted factorization, bordered (Grushin) block systems built from singular
-pairs, coupling matrices of a potential against those pairs, the scalar
-functional-calculus identities for Hermitian positive matrices, and the
-scope in which the bundled BLAS runs on one thread.
+pairs, the scalar functional-calculus identities for Hermitian positive
+matrices, and the scope in which the bundled BLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 import scipy.linalg
 
-from .operators import GridParams, OperatorMatrix, convolution_matrix
-from .symbols import Region, TrigPoly
+from .operators import OperatorMatrix
+from .symbols import Region
 
 
 class SolverError(RuntimeError):
@@ -265,21 +264,6 @@ def det_factorization_residual(op, z: complex, n_small: int) -> float:
     defect = abs(ld_full - (ld_block + ld_corner))
     # ln|det| = 0 leaves nothing to be relative to: report the defect itself
     return defect / abs(ld_full) if ld_full != 0.0 else defect
-
-
-def coupling_matrix(q: TrigPoly, e_vectors: np.ndarray,
-                    f_vectors: np.ndarray) -> np.ndarray:
-    """M_{jk} = <Conv(q) e_k, f_j> for Fourier-basis column vectors."""
-    e = np.asarray(e_vectors, dtype=complex)
-    f = np.asarray(f_vectors, dtype=complex)
-    if e.shape != f.shape:
-        raise ValueError(f"vector blocks differ in shape: {e.shape} vs {f.shape}")
-    n = e.shape[0]
-    if n % 2 == 0:
-        raise ValueError("Fourier-basis vectors must have odd length 2K + 1")
-    grid = GridParams(h=1.0, K=(n - 1) // 2)
-    conv = convolution_matrix(q, grid)
-    return f.conj().T @ (conv @ e)
 
 
 # ---------------------------------------------------------------------------

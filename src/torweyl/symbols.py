@@ -207,17 +207,24 @@ def _horner(coeff_values: list, xi) -> np.ndarray:
 
 
 def check_ellipticity(spec: SymbolSpec, x_samples: int = 256) -> tuple[bool, float]:
-    """Sampled classical-ellipticity test.
+    """Classical-ellipticity test with a rigorous constant.
 
-    Returns (holds, C) with |p_m(x, xi)| >= |xi|^m / C on the sample grid.
-    A top coefficient vanishing on the grid (to relative machine level, so
-    that an exact zero hit by rounding still counts) yields (False, inf).
+    Returns (holds, C) with |p_m(x, xi)| >= |xi|^m / C for every x.  1/C is
+    the larger of two lower bounds on |a_m| = |sum_k c_k e^{ikx}|: the
+    sampled minimum less (pi / x_samples) sum |k| |c_k|, the Lipschitz bound
+    over half a sample spacing, and |c_0| - sum_{k != 0} |c_k|.  A top
+    coefficient vanishing on the grid (to relative machine level, so that an
+    exact zero hit by rounding still counts) yields (False, inf).
     """
     if x_samples < 16:
         raise ValueError("x_samples must be at least 16")
+    top = spec.top
     x = np.arange(x_samples) * (TWO_PI / x_samples)
-    vals = np.abs(spec.top(x))
-    amin = float(np.min(vals))
+    vals = np.abs(top(x))
+    lipschitz = sum(abs(k) * abs(c) for k, c in top.items())
+    rest = sum(abs(c) for k, c in top.items() if k != 0)
+    amin = max(float(np.min(vals)) - math.pi / x_samples * lipschitz,
+               abs(top.mean()) - rest)
     if amin <= 1e-12 * float(np.max(vals)):
         return False, math.inf
     return True, 1.0 / amin

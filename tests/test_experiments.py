@@ -1,4 +1,4 @@
-"""Experiment orchestration tests: trials, ensembles, line model, ladders."""
+"""Experiment orchestration tests: trials, ensembles, line model, probes."""
 
 import math
 from pathlib import Path
@@ -11,15 +11,12 @@ from torweyl.experiments import (
     InvalidConfigError,
     ResolutionError,
     boundary_probes,
-    ladder_sizes,
     line_count_in_region,
     line_model_check,
     line_spectrum,
     logdet_formula_gap,
     run_ensemble,
-    run_trial,
     shifted_symbol_for,
-    singular_ladder_profile,
     trace_formula_gap,
     validate_config,
     weyl_prediction,
@@ -165,8 +162,8 @@ class TestConfigValidation:
 class TestRunTrial:
     def test_deterministic(self):
         cfg = small_config()
-        a = run_trial(cfg, 0.1, 2)
-        b = run_trial(cfg, 0.1, 2)
+        a = run_ensemble(cfg).per_h[0].trials[2]
+        b = run_ensemble(cfg).per_h[0].trials[2]
         assert a.as_dict() == b.as_dict()
         assert np.array_equal(a.eigvals, b.eigvals)
 
@@ -201,11 +198,10 @@ class TestRunTrial:
 
 
 class TestRunEnsemble:
-    def test_single_trial_reduces_to_run_trial(self):
-        cfg = small_config(n_trials=1)
-        rep = run_ensemble(cfg)
-        direct = run_trial(cfg, 0.1, 0)
-        assert rep.per_h[0].trials[0].as_dict() == direct.as_dict()
+    def test_trial_independent_of_ensemble_size(self):
+        one = run_ensemble(small_config(n_trials=1)).per_h[0].trials[0]
+        three = run_ensemble(small_config(n_trials=3)).per_h[0].trials[0]
+        assert one.as_dict() == three.as_dict()
 
     def test_success_fraction_monotone_in_tolerance(self):
         cfg = small_config(n_trials=4)
@@ -283,47 +279,7 @@ class TestLineModel:
                                     Rectangle(-0.33, 0.33, -0.1, 0.1)) == 7
 
 
-class TestLadder:
-    def test_reference_recursion(self):
-        assert ladder_sizes(16, 0.25, 4) == [16, 12, 9, 6, 4, 3, 2, 1]
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            ladder_sizes(16, 0.3, 4)
-        with pytest.raises(ValueError):
-            ladder_sizes(16, 0.2, 1)
-
-    def test_unperturbed_profile_is_raw(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        prof = singular_ladder_profile(a, 0.0, None)
-        assert prof.vacuous and prof.rungs == ()
-        assert np.array_equal(prof.singular, singular_values(a, 0.0))
-
-    def test_vacuous_when_no_small_values(self):
-        plan = derive_params(n=1, s=2, epsilon=0.5, kappa=0.25, h=0.1,
-                             mode="effective", delta_eff=1e-12, l_cap=1.2,
-                             tau0=1e-8)
-        a = np.eye(6, dtype=complex) * 5.0
-        prof = singular_ladder_profile(a, 0.0, plan)
-        assert prof.vacuous
-
-    def test_rungs_cover_index_range(self):
-        spec = catalog_symbol("xi2+exp(ix)")
-        grid = GridParams(h=0.05, K=45)
-        plan = derive_params(n=1, s=2, epsilon=0.5, kappa=0.25, h=0.05,
-                             mode="effective", delta_eff=1e-12,
-                             l_cap=0.05 * 45)
-        P = assemble_differential(spec, grid)
-        pot = sample_potential(plan, 3)
-        pd = build_perturbed(P, plan, pot)
-        prof = singular_ladder_profile(pd, 0.4 + 0.1j, plan, theta=0.2,
-                                       n_theta=4)
-        if not prof.vacuous:
-            covered = sorted(nu for r in prof.rungs
-                             for nu in range(r.nu_lo, r.nu_hi + 1))
-            assert covered == list(range(1, prof.n0 + 1))
-
+class TestSpectralFloor:
     def test_perturbation_lifts_smallest_singular_value(self):
         # the spectral floor rises under a random multiplicative bump for
         # most draws; observed fraction recorded against the 90% mark

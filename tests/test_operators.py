@@ -9,8 +9,8 @@ from torweyl.operators import (
     BandwidthError,
     GridParams,
     assemble_differential,
-    assemble_multiplier,
     assemble_toroidal_pdo,
+    convolution_matrix,
     hs_norm,
     sup_norm,
 )
@@ -109,18 +109,18 @@ class TestAssembleDifferential:
 
 class TestAssembleMultiplier:
     def test_constant_gives_identity(self):
-        got = assemble_multiplier(TrigPoly.constant(1.0), GridParams(h=0.1, K=3))
-        assert np.array_equal(got.entries, np.eye(7).astype(complex))
+        got = convolution_matrix(TrigPoly.constant(1.0), GridParams(h=0.1, K=3))
+        assert np.array_equal(got, np.eye(7).astype(complex))
 
     def test_cosine_gives_symmetric_toeplitz(self):
-        got = assemble_multiplier(TrigPoly.cosine(), GridParams(h=0.1, K=2)).entries
+        got = convolution_matrix(TrigPoly.cosine(), GridParams(h=0.1, K=2))
         expected = 0.5 * (np.eye(5, k=1) + np.eye(5, k=-1))
         assert np.array_equal(got, expected.astype(complex))
 
     def test_real_symbol_hermitian_persymmetric(self):
         q = TrigPoly({0: 0.5, 1: 1 - 0.5j, -1: 1 + 0.5j, 2: 2j, -2: -2j},
                      real=True)
-        m = assemble_multiplier(q, GridParams(h=0.1, K=3)).entries
+        m = convolution_matrix(q, GridParams(h=0.1, K=3))
         assert np.allclose(m, m.conj().T, atol=0.0)          # Hermitian
         j = flip(7)
         assert np.array_equal(m, j @ m.T @ j)                # persymmetric
@@ -129,9 +129,25 @@ class TestAssembleMultiplier:
     def test_matches_order_zero_differential(self):
         q = TrigPoly({2: 1 + 1j, -1: 0.5})
         grid = GridParams(h=0.7, K=4)
-        a = assemble_multiplier(q, grid).entries
+        a = convolution_matrix(q, grid)
         b = assemble_differential(SymbolSpec(m=0, a=(q,)), grid).entries
         assert np.array_equal(a, b)
+
+    def test_single_mode_matches_quadrature(self):
+        # <Conv(q) e, f> against the integral of conj(f) q e over the torus,
+        # the functions built from their Fourier coefficients
+        rng = np.random.default_rng(10)
+        grid = GridParams(h=1.0, K=5)
+        e = rng.standard_normal((grid.N, 3)) + 1j * rng.standard_normal((grid.N, 3))
+        f = rng.standard_normal((grid.N, 3)) + 1j * rng.standard_normal((grid.N, 3))
+        q = TrigPoly.wave(2, 0.7 - 0.3j)
+        got = f.conj().T @ convolution_matrix(q, grid) @ e
+        n_g = 256
+        x = np.arange(n_g) * (TWO_PI / n_g)
+        basis = np.exp(1j * np.outer(x, grid.k_values())) / math.sqrt(TWO_PI)
+        e_fun, f_fun = basis @ e, basis @ f
+        oracle = f_fun.conj().T @ (q(x)[:, None] * e_fun) * (TWO_PI / n_g)
+        assert np.allclose(got, oracle, atol=1e-12)
 
 
 class TestToroidalPdo:
@@ -145,7 +161,7 @@ class TestToroidalPdo:
         g = TrigPoly({1: 0.3 + 0.2j, -2: 1.1, 3: -0.4j})
         grid = GridParams(h=0.1, K=8)
         a = assemble_toroidal_pdo(lambda x, xi: g(x) + 0.0 * xi, grid).entries
-        b = assemble_multiplier(g, grid).entries
+        b = convolution_matrix(g, grid)
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_constant_symbol(self):

@@ -185,7 +185,7 @@ class TestBuildPerturbed:
         pot = sample_potential(plan, 9)
         out = build_perturbed(self.P, plan, pot)
         diff = np.linalg.norm(out.entries - self.P.entries, ord=2)
-        budget = plan.delta * 0.1 ** float(plan.n1) * pot.coeff_l1()
+        budget = plan.delta * 0.1 ** float(plan.n1) * pot.q.sup_bound()
         assert diff <= budget * (1 + 1e-12)
 
     def test_effective_mode_norm_is_delta_scale(self):
@@ -195,25 +195,6 @@ class TestBuildPerturbed:
         out = build_perturbed(self.P, plan, pot)
         diff = np.linalg.norm(out.entries - self.P.entries, ord=2)
         assert 0.05e-6 <= diff <= 1.5e-6
-
-    def test_constant_base_multiplier(self):
-        plan = derive_params(n=1, s=2, epsilon=0.5, kappa=0.25, h=0.1,
-                             mode="effective", delta_eff=0.0, l_cap=0.1 * 12)
-        pot = sample_potential(plan, 1)
-        out = build_perturbed(self.P, plan, pot,
-                              base=(0.1, TrigPoly.zero(), TrigPoly.constant(1.0)))
-        assert np.allclose(out.entries, self.P.entries + 0.1 * np.eye(25),
-                           atol=0.0)
-
-    def test_base_weight_above_h_warns(self):
-        plan = derive_params(n=1, s=2, epsilon=0.5, kappa=0.25, h=0.1,
-                             mode="effective", delta_eff=0.0, l_cap=0.1 * 12)
-        pot = sample_potential(plan, 1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            build_perturbed(self.P, plan, pot,
-                            base=(0.5, TrigPoly.zero(), TrigPoly.constant(1.0)))
-        assert any("exceeds h" in str(w.message) for w in caught)
 
 
 class TestSeedSplitting:

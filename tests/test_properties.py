@@ -1,4 +1,4 @@
-"""Property tests: TrigPoly algebra, the text-format round trips, the
+"""Property tests: TrigPoly algebra, the symbol text round trip, the
 Toeplitz build of convolution matrices and the pruned phase-space sweep."""
 
 import math
@@ -65,20 +65,6 @@ def symbol_specs(draw):
     return SymbolSpec(m=m, a=a, h_corrections=hc)
 
 
-@st.composite
-def regions(draw):
-    re_lo, re_hi = sorted(draw(st.tuples(reals, reals)))
-    im_lo, im_hi = sorted(draw(st.tuples(reals, reals)))
-    radius = draw(st.floats(min_value=0.0, max_value=1e3))
-    base = draw(st.sampled_from([
-        Rectangle(re_lo, re_hi, im_lo, im_hi),
-        Disk(complex(re_lo, im_hi), radius),
-    ]))
-    if draw(st.booleans()):
-        return BoundaryTube(base, draw(st.floats(min_value=1e-6, max_value=10.0)))
-    return base
-
-
 def close(got, want):
     scale = 1.0 + float(np.max(np.abs(want)))
     return np.allclose(got, want, rtol=0.0, atol=1e-12 * scale)
@@ -106,11 +92,6 @@ class TestRoundTrips:
     @given(symbol_specs())
     def test_symbol(self, spec):
         assert serialize.loads_symbol(serialize.dumps_symbol(spec)) == spec
-
-    @SETTINGS
-    @given(regions())
-    def test_region(self, region):
-        assert serialize.loads_region(serialize.dumps_region(region)) == region
 
 
 def convolution_matrix_by_loop(u: TrigPoly, grid: GridParams) -> np.ndarray:

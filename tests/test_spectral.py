@@ -9,13 +9,12 @@ import pytest
 import scipy.linalg
 
 from torweyl import spectral
-from torweyl.operators import GridParams, assemble_multiplier
+from torweyl.operators import GridParams, convolution_matrix
 from torweyl.spectral import (
     BumpFunction,
     DegenerateGapError,
     SingularMatrixError,
     SolverError,
-    coupling_matrix,
     count_in_region,
     det_factorization_residual,
     eigenvalues,
@@ -27,8 +26,6 @@ from torweyl.spectral import (
     spectral_functional,
 )
 from torweyl.symbols import Disk, Rectangle, TrigPoly
-
-TWO_PI = 2.0 * math.pi
 
 
 def random_complex(rng, n):
@@ -48,7 +45,7 @@ class TestEigenvalues:
         assert np.allclose(sorted(eigs.real), [-0.3, 0.0, 0.3])
 
     def test_nilpotent_shift(self):
-        m = assemble_multiplier(TrigPoly.wave(1), GridParams(h=1.0, K=1))
+        m = convolution_matrix(TrigPoly.wave(1), GridParams(h=1.0, K=1))
         eigs = eigenvalues(m)
         assert eigs.shape == (3,) and np.allclose(eigs, 0.0)
 
@@ -201,46 +198,6 @@ class TestDetFactorization:
         rng = np.random.default_rng(8)
         a = with_smallest_sv(rng, 20, 1e-10)
         assert det_factorization_residual(a, 0.0, 2) <= 1e-6
-
-
-class TestCouplingMatrix:
-    def test_identity_for_unit_potential(self):
-        n = 7
-        e = np.eye(n, dtype=complex)
-        m = coupling_matrix(TrigPoly.constant(1.0), e, e)
-        assert np.allclose(m, np.eye(n), atol=0.0)
-
-    def test_symmetric_for_conjugated_frame(self):
-        rng = np.random.default_rng(9)
-        n, j = 9, 4
-        e = rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))
-        # conjugating a function flips and conjugates its Fourier coefficients
-        f = np.conj(e[::-1, :])
-        q = TrigPoly({1: 0.4 + 0.2j, -2: 1.0, 0: 0.3})
-        m = coupling_matrix(q, e, f)
-        assert np.linalg.norm(m - m.T) <= 1e-12
-
-    def test_single_mode_matches_quadrature(self):
-        rng = np.random.default_rng(10)
-        n, j, k0 = 11, 3, 2
-        K = (n - 1) // 2
-        e = rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))
-        f = rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))
-        q = TrigPoly.wave(k0, 0.7 - 0.3j)
-        got = coupling_matrix(q, e, f)
-        # quadrature oracle on a fine grid, functions built from coefficients
-        n_g = 256
-        x = np.arange(n_g) * (TWO_PI / n_g)
-        basis = np.exp(1j * np.outer(x, np.arange(-K, K + 1))) / math.sqrt(TWO_PI)
-        e_fun = basis @ e
-        f_fun = basis @ f
-        weights = TWO_PI / n_g
-        oracle = f_fun.conj().T @ (q(x)[:, None] * e_fun) * weights
-        assert np.allclose(got, oracle, atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            coupling_matrix(TrigPoly.constant(1.0), np.eye(5), np.eye(7))
 
 
 class TestBumpFunction:
