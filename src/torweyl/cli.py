@@ -8,7 +8,8 @@ flows from seeds in the config or flags; nothing is ever seeded from the
 clock, so equal invocations write equal bytes.
 
 Exit codes: 0 success, 2 config error (including out-of-range or non-finite
-values and a repeated --h on a single-h command), 3 numeric failure.
+values, a repeated --h on a single-h command and a matrix dimension above
+4096), 3 numeric failure.
 """
 
 from __future__ import annotations

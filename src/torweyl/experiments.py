@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-import time
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -208,13 +207,11 @@ class TrialResult:
     relative_error: float
     sigma_min_probes: tuple[float, ...]
     logdet_probes: tuple[float | None, ...]
-    runtime_s: float
     error: str | None = None
     eigvals: np.ndarray | None = None
 
     def as_dict(self) -> dict:
-        # runtime and raw eigenvalues stay out: report files must be a pure
-        # function of the configuration
+        # raw eigenvalues stay out: the eigenvalue CSV files carry them
         rel = self.relative_error if math.isfinite(self.relative_error) else None
         return {
             "seed": self.seed,
@@ -269,8 +266,8 @@ def _relative_error(count: int, prediction: float) -> float:
     return 0.0 if count == 0 else math.inf
 
 
-def _measure(ctx: _TrialContext, matrix: OperatorMatrix, seed: int | None,
-             t0: float) -> TrialResult:
+def _measure(ctx: _TrialContext, matrix: OperatorMatrix,
+             seed: int | None) -> TrialResult:
     """Eigenvalues, region count and boundary probes of one trial matrix."""
     eigs = eigenvalues(matrix)
     count = count_in_region(eigs, ctx.config.region)
@@ -288,30 +285,27 @@ def _measure(ctx: _TrialContext, matrix: OperatorMatrix, seed: int | None,
         relative_error=_relative_error(count, ctx.prediction),
         sigma_min_probes=tuple(sig),
         logdet_probes=tuple(logd),
-        runtime_s=time.perf_counter() - t0,
         eigvals=eigs,
     )
 
 
 def _run_trial_in_context(ctx: _TrialContext, trial_index: int) -> TrialResult:
-    t0 = time.perf_counter()
     seed = split_seed(ctx.config.master_seed, trial_index)
     try:
         pot = sample_potential(ctx.plan, seed,
                                real_mode=ctx.config.real_potentials)
-        return _measure(ctx, build_perturbed(ctx.P, ctx.plan, pot), seed, t0)
+        return _measure(ctx, build_perturbed(ctx.P, ctx.plan, pot), seed)
     except Exception as exc:  # a failed trial is recorded, never dropped
         return TrialResult(
             seed=seed, count=-1, prediction=ctx.prediction,
             relative_error=math.nan, sigma_min_probes=(), logdet_probes=(),
-            runtime_s=time.perf_counter() - t0,
             error=f"{type(exc).__name__}: {exc}",
         )
 
 
 def _baseline_trial(ctx: _TrialContext) -> TrialResult:
     """Unperturbed operator, run first: isolates truncation artifacts."""
-    return _measure(ctx, ctx.P, None, time.perf_counter())
+    return _measure(ctx, ctx.P, None)
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +516,15 @@ def line_count_in_region(g: TrigPoly, h: float, region: Region) -> int:
     return int(np.count_nonzero(region.contains(lam)))
 
 
-def line_model_check(g: TrigPoly, h: float, k_max: int, grid: GridParams,
-                     tail_tol: float = 1e-10) -> LineModelResult:
+def line_model_check(g: TrigPoly, h: float, k_max: int,
+                     grid: GridParams) -> LineModelResult:
     """Quasimode residuals for P = hD + Conv(g) on the truncation.
 
     The analytic eigenfunctions u_k = exp(ikx - (i/h) G0(x)) with G0' = g - <g>
     are expanded in Fourier modes by FFT, truncated to the grid, and the
     relative residual of (P - lambda_k) u_k is returned for |k| <= k_max,
     lambda_k = <g> + h k.  The Fourier tail dropped by the truncation is
-    measured first; an unresolvable tail raises ResolutionError.
+    measured first; a tail above 1e-10 relative raises ResolutionError.
     """
     if g.bandwidth > 2 * grid.K:
         raise ResolutionError("g exceeds the representable bandwidth")
@@ -547,9 +541,9 @@ def line_model_check(g: TrigPoly, h: float, k_max: int, grid: GridParams,
     keep = np.abs(freqs) <= grid.K - k_max
     outside = float(np.sum(np.abs(coeffs[~keep]) ** 2))
     tail_ratio = math.sqrt(outside / total)
-    if tail_ratio > tail_tol:
+    if tail_ratio > 1e-10:
         raise ResolutionError(
-            f"Fourier tail ratio {tail_ratio:.3e} exceeds {tail_tol:g}; "
+            f"Fourier tail ratio {tail_ratio:.3e} exceeds 1e-10; "
             f"increase K beyond {grid.K}"
         )
 
@@ -582,10 +576,6 @@ def line_model_check(g: TrigPoly, h: float, k_max: int, grid: GridParams,
 
 @dataclass(frozen=True)
 class FormulaGap:
-    h: float
-    alpha: float
-    operator_value: float
-    quadrature_value: float
     gap: float
 
 
@@ -600,21 +590,20 @@ def _pz_square(spec: SymbolSpec, ptilde, z: complex, grid: GridParams):
 
 
 def _mode_aligned_quadrature(spec: SymbolSpec, ptilde, z: complex,
-                             grid: GridParams, n_x: int | None = None):
+                             grid: GridParams) -> np.ndarray:
     """Values of s = |p - z|^2 / |ptilde - z|^2 on the x-grid times the modes.
 
-    The xi nodes sit exactly at h k, i.e. at the midpoints of the cells
+    The x-grid has 4K + 4 points, one row of s each.  The xi nodes sit
+    exactly at h k, i.e. at the midpoints of the cells
     [h(k - 1/2), h(k + 1/2)], so (2 pi h)^{-1} * sum * cell = mean over x of
     the mode sum.
     """
-    if n_x is None:
-        n_x = 4 * grid.K + 4
+    n_x = 4 * grid.K + 4
     x = np.arange(n_x) * (TWO_PI / n_x)
     xi = grid.h * grid.k_values()
     p = spec.eval_principal(x[:, None], xi[None, :])
     pt = np.asarray(ptilde(x[:, None], xi[None, :]), dtype=complex)
-    s = np.abs(p - z) ** 2 / np.abs(pt - z) ** 2
-    return s, n_x
+    return np.abs(p - z) ** 2 / np.abs(pt - z) ** 2
 
 
 def trace_formula_gap(spec: SymbolSpec, ptilde, z: complex, alpha: float,
@@ -623,10 +612,9 @@ def trace_formula_gap(spec: SymbolSpec, ptilde, z: complex, alpha: float,
     S = _pz_square(spec, ptilde, z, grid)
     lam = np.linalg.eigvalsh(S)
     trace_val = float(np.sum(chi(lam / alpha)))
-    s, n_x = _mode_aligned_quadrature(spec, ptilde, z, grid)
-    quad = float(np.sum(chi(s / alpha))) / n_x
-    return FormulaGap(h=grid.h, alpha=alpha, operator_value=trace_val,
-                      quadrature_value=quad, gap=abs(trace_val - quad))
+    s = _mode_aligned_quadrature(spec, ptilde, z, grid)
+    quad = float(np.sum(chi(s / alpha))) / len(s)
+    return FormulaGap(gap=abs(trace_val - quad))
 
 
 def logdet_formula_gap(spec: SymbolSpec, ptilde, z: complex, alpha: float,
@@ -635,12 +623,11 @@ def logdet_formula_gap(spec: SymbolSpec, ptilde, z: complex, alpha: float,
     S = _pz_square(spec, ptilde, z, grid)
     lam = np.linalg.eigvalsh(S)
     logdet = float(np.sum(np.log(lam + alpha * chi(lam / alpha))))
-    s, n_x = _mode_aligned_quadrature(spec, ptilde, z, grid)
+    s = _mode_aligned_quadrature(spec, ptilde, z, grid)
     if np.any(s == 0.0):
         raise ValueError("quadrature node hits p(x, xi) = z exactly; move z")
-    quad = float(np.sum(np.log(s))) / n_x
-    return FormulaGap(h=grid.h, alpha=alpha, operator_value=logdet,
-                      quadrature_value=quad, gap=abs(logdet - quad))
+    quad = float(np.sum(np.log(s))) / len(s)
+    return FormulaGap(gap=abs(logdet - quad))
 
 
 # ---------------------------------------------------------------------------
@@ -680,23 +667,28 @@ def make_lifted_symbol(spec: SymbolSpec, shift: float,
     return lifted
 
 
-def _matrix_guard_ok(candidate, test_points, grid: GridParams,
-                     matrix_guard: float) -> bool:
+# the distance a candidate ptilde keeps from every test point on the sampled
+# grid (SYMBOL_GUARD), and the smallest singular value its quantization keeps
+# at every test point (MATRIX_GUARD)
+SYMBOL_GUARD = 0.1
+MATRIX_GUARD = 0.02
+
+
+def _matrix_guard_ok(candidate, test_points, grid: GridParams) -> bool:
     pt = assemble_toroidal_pdo(candidate, grid)
-    return all(singular_values(pt, z)[0] >= matrix_guard for z in test_points)
+    return all(singular_values(pt, z)[0] >= MATRIX_GUARD for z in test_points)
 
 
 def shifted_symbol_for(spec: SymbolSpec, z_center: complex,
                        test_points: Sequence[complex], h: float,
-                       xi_bound: float, guard: float = 0.1,
-                       matrix_guard: float = 0.02):
+                       xi_bound: float):
     """Guard-validated auxiliary symbol ptilde on a mode-aligned slab.
 
     ptilde is p lifted by i*shift on the whole frequency window
     |xi| <= xi_on (``make_lifted_symbol``), so it equals p outside a compact
-    set.  A candidate must keep the symbol at least ``guard`` away from
+    set.  A candidate must keep the symbol at least SYMBOL_GUARD away from
     every test point on the sampled grid and keep the quantized operator at
-    least ``matrix_guard`` from singular there.  The lift is used because it
+    least MATRIX_GUARD from singular there.  The lift is used because it
     cannot wind: a bump in the symbol's values can leave x -> p(x, xi)
     winding around a test point, and then the quantization is exponentially
     near-singular even though the symbol clears the pointwise guard, while
@@ -721,8 +713,7 @@ def shifted_symbol_for(spec: SymbolSpec, z_center: complex,
             candidate = make_lifted_symbol(spec, shift, xi_on, xi_off)
             moved = np.asarray(candidate(x, xi))
             clear = min(float(np.min(np.abs(moved - z))) for z in pts)
-            if clear >= guard and _matrix_guard_ok(candidate, pts, grid,
-                                                   matrix_guard):
+            if clear >= SYMBOL_GUARD and _matrix_guard_ok(candidate, pts, grid):
                 return candidate, grid, (shift, xi_on)
     raise GuardError("no frequency lift cleared the symbol and matrix guards")
 

@@ -43,16 +43,28 @@ class GridParams:
         return np.arange(-self.K, self.K + 1)
 
 
+# the largest matrix dimension N = 2K + 1 a truncation may have: the dense
+# eigensolve and the probes of one trial stay at desk scale
+MAX_DIM = 4096
+
+
 def truncation_grid(h: float, xi_bound: float, k_rule: object = "auto") -> GridParams:
     """Grid whose frequencies h*k cover 1.5 times a certified |xi| bound.
 
     ``k_rule`` is "auto" for K = ceil(1.5 * xi_bound / h), or an explicit K.
+    A grid with N above MAX_DIM is a ValueError, raised before any matrix of
+    that size is built.
     """
     if k_rule != "auto":
-        return GridParams(h=h, K=int(k_rule))
-    # h <= 0 skips the division and is rejected by GridParams
-    K = int(math.ceil(1.5 * xi_bound / h)) if h > 0 else 1
-    return GridParams(h=h, K=K)
+        K = int(k_rule)
+    else:
+        # h <= 0 skips the division and is rejected by GridParams
+        K = int(math.ceil(1.5 * xi_bound / h)) if h > 0 else 1
+    grid = GridParams(h=h, K=K)
+    if grid.N > MAX_DIM:
+        raise ValueError(f"matrix dimension N = {grid.N} at h = {h:g} exceeds "
+                         f"the cap {MAX_DIM}")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -106,18 +118,14 @@ def assemble_differential(spec: SymbolSpec, grid: GridParams) -> OperatorMatrix:
     return OperatorMatrix(total, grid)
 
 
-def assemble_toroidal_pdo(symbol: Callable, grid: GridParams,
-                          n_x: int | None = None) -> OperatorMatrix:
+def assemble_toroidal_pdo(symbol: Callable, grid: GridParams) -> OperatorMatrix:
     """Kohn-Nirenberg quantization of a general symbol(x, xi).
 
     Entry (j, k) = (1/n_x) sum_x symbol(x, h k) e^{-i (j-k) x} over the
-    uniform x-grid.  ``symbol`` must accept broadcast ndarray arguments.
-    n_x >= 4K + 4 removes aliasing for bandwidth-2K symbols.
+    uniform grid of n_x = 4K + 4 points, which removes aliasing for
+    bandwidth-2K symbols.  ``symbol`` must accept broadcast ndarray arguments.
     """
-    if n_x is None:
-        n_x = 4 * grid.K + 4
-    if n_x < 4 * grid.K + 4:
-        raise ValueError(f"n_x must be at least 4K + 4 = {4 * grid.K + 4}")
+    n_x = 4 * grid.K + 4
     x = np.arange(n_x) * (TWO_PI / n_x)
     k = grid.k_values()
     vals = np.asarray(symbol(x[:, None], grid.h * k[None, :]), dtype=complex)
@@ -147,7 +155,8 @@ def hs_norm(q: TrigPoly, s: float, h: float, mode: str = "semiclassical") -> flo
     return math.sqrt(total)
 
 
-def sup_norm(q: TrigPoly, n_samples: int = 4096) -> float:
-    """Max of |q| on a uniform grid (dense enough for band-limited q)."""
-    n = max(n_samples, 4 * q.bandwidth + 4)
+def sup_norm(q: TrigPoly) -> float:
+    """Max of |q| on a uniform grid of at least 4096 points (dense enough for
+    band-limited q)."""
+    n = max(4096, 4 * q.bandwidth + 4)
     return float(np.max(np.abs(q.uniform_samples(n))))

@@ -212,14 +212,16 @@ _MAX_MODES = 4_000_000
 
 @dataclass(frozen=True)
 class RandomPotential:
-    """A draw q = sum_{0 < h|k| <= L} alpha_k eps_k with |alpha| <= R."""
+    """A draw q = sum_{0 < h|k| <= L} alpha_k eps_k with |alpha| <= R.
+
+    The coefficients alpha_k are sqrt(2 pi) times q's Fourier coefficients.
+    """
 
     q: TrigPoly
-    alpha: np.ndarray
 
-    def sup_q(self, n_samples: int = 4096) -> float:
+    def sup_q(self) -> float:
         """Sampled sup norm of q; the multiplication-operator norm scale."""
-        return sup_norm(self.q, n_samples)
+        return sup_norm(self.q)
 
 
 def split_seed(master_seed: int, trial_index: int) -> int:
@@ -262,7 +264,7 @@ def sample_potential(plan: PerturbationPlan, seed: int,
         alpha = radius * vec
     coeffs = {int(k): a / math.sqrt(TWO_PI) for k, a in zip(ks, alpha)}
     q = TrigPoly(coeffs, real=real_mode)
-    return RandomPotential(q=q, alpha=alpha)
+    return RandomPotential(q=q)
 
 
 def build_perturbed(P: OperatorMatrix, plan: PerturbationPlan,

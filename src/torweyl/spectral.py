@@ -36,9 +36,6 @@ class DegenerateGapError(ValueError):
     """Projection rank falls inside a singular-value cluster."""
 
 
-EIG_DIM_CAP = 4096
-
-
 # ---------------------------------------------------------------------------
 # BLAS threads
 # ---------------------------------------------------------------------------
@@ -132,12 +129,9 @@ def _as_matrix(op) -> np.ndarray:
     return np.asarray(op, dtype=complex)
 
 
-def eigenvalues(op, dim_cap: int = EIG_DIM_CAP) -> np.ndarray:
+def eigenvalues(op) -> np.ndarray:
     """All eigenvalues of the dense matrix."""
     a = _as_matrix(op)
-    n = a.shape[0]
-    if n > dim_cap:
-        raise ValueError(f"matrix dimension {n} exceeds the configured cap {dim_cap}")
     try:
         # eig with vectors, though the vectors are dropped: eigvals and zgees
         # round differently, and the calibrated counts are pinned to this
@@ -191,8 +185,6 @@ def log_abs_det(op, z: complex = 0.0) -> float:
 
 @dataclass(frozen=True)
 class GrushinSolution:
-    n_small: int
-    t: np.ndarray
     e: np.ndarray
     e_plus: np.ndarray
     e_minus: np.ndarray
@@ -201,7 +193,8 @@ class GrushinSolution:
 
 
 def _singular_frame(shifted: np.ndarray, n_small: int):
-    """Lowest n_small singular triples, ascending, with a gap check."""
+    """Right and left singular vectors of the n_small smallest singular
+    values, ascending, with a gap check."""
     n = shifted.shape[0]
     if not (1 <= n_small <= n):
         raise ValueError(f"n_small must lie in [1, {n}]")
@@ -218,7 +211,7 @@ def _singular_frame(shifted: np.ndarray, n_small: int):
         )
     e_vecs = vh.conj().T[:, order[:n_small]]
     f_vecs = u[:, order[:n_small]]
-    return t, e_vecs, f_vecs
+    return e_vecs, f_vecs
 
 
 def grushin_solve(op, z: complex, n_small: int) -> GrushinSolution:
@@ -229,7 +222,7 @@ def grushin_solve(op, z: complex, n_small: int) -> GrushinSolution:
     """
     a = _as_matrix(op)
     shifted = a - z * np.eye(a.shape[0])
-    t, e_vecs, f_vecs = _singular_frame(shifted, n_small)
+    e_vecs, f_vecs = _singular_frame(shifted, n_small)
     n = shifted.shape[0]
     block = np.zeros((n + n_small, n + n_small), dtype=complex)
     block[:n, :n] = shifted
@@ -240,8 +233,6 @@ def grushin_solve(op, z: complex, n_small: int) -> GrushinSolution:
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"bordered system is singular: {exc}") from exc
     return GrushinSolution(
-        n_small=n_small,
-        t=t,
         e=inv[:n, :n],
         e_plus=inv[:n, n:],
         e_minus=inv[n:, :n],
@@ -270,23 +261,16 @@ def det_factorization_residual(op, z: complex, n_small: int) -> float:
 # functional calculus on Hermitian positive matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class BumpFunction:
-    """chi_c(t) = exp(1 - 1/(1 - (t/c)^2)) on [0, c), zero beyond.
+    """chi(t) = exp(1 - 1/(1 - t^2)) on [0, 1), zero beyond.
 
     Extended evenly to t < 0, so chi is smooth with chi(0) = 1 > 0, and the
     derivative is available in closed form.
     """
 
-    c: float = 1.0
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("support radius c must be positive")
-
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        u = np.abs(t) / self.c
+        u = np.abs(t)
         out = np.zeros(u.shape)
         mask = u < 1.0
         um = u[mask]
@@ -294,13 +278,12 @@ class BumpFunction:
         return out
 
     def deriv(self, t):
-        t = np.asarray(t, dtype=float)
-        u = t / self.c
+        u = np.asarray(t, dtype=float)
         out = np.zeros(u.shape)
         mask = np.abs(u) < 1.0
         um = u[mask]
         chi = np.exp(1.0 - 1.0 / (1.0 - um**2))
-        out[mask] = chi * (-2.0 * um / (self.c * (1.0 - um**2) ** 2))
+        out[mask] = chi * (-2.0 * um / (1.0 - um**2) ** 2)
         return out
 
     def psi(self, t):
@@ -313,34 +296,29 @@ class BumpFunction:
 
 @dataclass(frozen=True)
 class FunctionalResult:
-    trace_val: float
-    logdet_reg: float
     deriv_residual: float
 
 
-def spectral_functional(op, chi: BumpFunction, alpha: float, t_probe: float,
-                        hermitian_tol: float = 1e-12) -> FunctionalResult:
-    """Trace and regularized log-det of a Hermitian PSD matrix.
+def spectral_functional(op, chi: BumpFunction, alpha: float,
+                        t_probe: float) -> FunctionalResult:
+    """The log-det derivative identity on a Hermitian PSD matrix.
 
-    trace_val   = sum chi(lambda_j / alpha)
-    logdet_reg  = sum ln(lambda_j + alpha * chi(lambda_j / alpha))
-    deriv_residual compares a central finite difference of
-    t -> sum ln(lambda_j + t chi(lambda_j / t)) at t_probe against the exact
-    derivative sum (1/t) psi(lambda_j / t); the identity is exact eigenvalue
-    by eigenvalue, so the residual is finite-difference noise only.
+    deriv_residual compares a central finite difference of the regularized
+    log-determinant t -> sum ln(lambda_j + t chi(lambda_j / t)) at t_probe
+    against the exact derivative sum (1/t) psi(lambda_j / t); the identity
+    is exact eigenvalue by eigenvalue, so the residual is finite-difference
+    noise only.
     """
     a = _as_matrix(op)
     herm_defect = np.linalg.norm(a - a.conj().T)
     scale = max(1.0, float(np.linalg.norm(a)))
-    if herm_defect > hermitian_tol * scale:
+    if herm_defect > 1e-12 * scale:
         raise ValueError(
             f"matrix is not Hermitian to tolerance: defect {herm_defect:.3e}"
         )
     if not (0.0 < alpha < 1.0) or not (0.0 < t_probe < 1.0):
         raise ValueError("alpha and t_probe must lie in (0, 1)")
     lam = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
-    trace_val = float(np.sum(chi(lam / alpha)))
-    logdet_reg = float(np.sum(np.log(lam + alpha * chi(lam / alpha))))
 
     def reg_logdet(t: float) -> float:
         return float(np.sum(np.log(lam + t * chi(lam / t))))
@@ -348,11 +326,7 @@ def spectral_functional(op, chi: BumpFunction, alpha: float, t_probe: float,
     step = 1e-5 * t_probe
     fd = (reg_logdet(t_probe + step) - reg_logdet(t_probe - step)) / (2.0 * step)
     exact = float(np.sum(chi.psi(lam / t_probe)) / t_probe)
-    return FunctionalResult(
-        trace_val=trace_val,
-        logdet_reg=logdet_reg,
-        deriv_residual=abs(fd - exact),
-    )
+    return FunctionalResult(deriv_residual=abs(fd - exact))
 
 
 # inverse iteration for sigma_min(T - z): residual tolerance relative to the

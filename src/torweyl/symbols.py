@@ -11,7 +11,7 @@ of sublevel-set volumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
 import numpy as np
@@ -40,7 +40,7 @@ class TrigPoly:
     ``real`` must satisfy c_{-k} == conj(c_k) exactly.
     """
 
-    coeffs: Mapping[int, complex] = field(default_factory=dict)
+    coeffs: Mapping[int, complex]
     real: bool = False
 
     def __post_init__(self):
@@ -62,13 +62,9 @@ class TrigPoly:
         return cls({0: c}, real=bool(complex(c).imag == 0.0))
 
     @classmethod
-    def cosine(cls, k: int = 1, amp: float = 1.0) -> "TrigPoly":
-        return cls({k: amp / 2.0, -k: amp / 2.0}, real=True)
-
-    @classmethod
-    def wave(cls, k: int, amp: complex = 1.0) -> "TrigPoly":
-        """Single exponential amp * e^{ikx}."""
-        return cls({k: amp})
+    def wave(cls, k: int) -> "TrigPoly":
+        """Single exponential e^{ikx}."""
+        return cls({k: 1.0})
 
     @property
     def bandwidth(self) -> int:
@@ -206,24 +202,23 @@ def _horner(coeff_values: list, xi) -> np.ndarray:
     return out
 
 
-def check_ellipticity(spec: SymbolSpec, x_samples: int = 256) -> tuple[bool, float]:
+def check_ellipticity(spec: SymbolSpec) -> tuple[bool, float]:
     """Classical-ellipticity test with a rigorous constant.
 
     Returns (holds, C) with |p_m(x, xi)| >= |xi|^m / C for every x.  1/C is
     the larger of two lower bounds on |a_m| = |sum_k c_k e^{ikx}|: the
-    sampled minimum less (pi / x_samples) sum |k| |c_k|, the Lipschitz bound
-    over half a sample spacing, and |c_0| - sum_{k != 0} |c_k|.  A top
+    minimum over 256 samples less (pi / 256) sum |k| |c_k|, the Lipschitz
+    bound over half a sample spacing, and |c_0| - sum_{k != 0} |c_k|.  A top
     coefficient vanishing on the grid (to relative machine level, so that an
     exact zero hit by rounding still counts) yields (False, inf).
     """
-    if x_samples < 16:
-        raise ValueError("x_samples must be at least 16")
+    n = 256
     top = spec.top
-    x = np.arange(x_samples) * (TWO_PI / x_samples)
+    x = np.arange(n) * (TWO_PI / n)
     vals = np.abs(top(x))
     lipschitz = sum(abs(k) * abs(c) for k, c in top.items())
     rest = sum(abs(c) for k, c in top.items() if k != 0)
-    amin = max(float(np.min(vals)) - math.pi / x_samples * lipschitz,
+    amin = max(float(np.min(vals)) - math.pi / n * lipschitz,
                abs(top.mean()) - rest)
     if amin <= 1e-12 * float(np.max(vals)):
         return False, math.inf
@@ -465,8 +460,7 @@ def certified_xi_bound(spec: SymbolSpec, region: Region) -> float:
     return hi
 
 
-def default_grid(spec: SymbolSpec, region: Region,
-                 n_x: int = 512, n_xi: int = 512) -> PhaseGrid:
+def default_grid(spec: SymbolSpec, region: Region, n_x: int, n_xi: int) -> PhaseGrid:
     xb = certified_xi_bound(spec, region)
     return PhaseGrid(n_x=n_x, xi_lo=-xb, xi_hi=xb, n_xi=n_xi)
 
@@ -587,18 +581,19 @@ def kappa_floor(spec: SymbolSpec) -> float:
 
 
 def estimate_kappa(spec: SymbolSpec, z: complex, t_lo: float, t_hi: float,
-                   n_points: int, grid: PhaseGrid | None = None) -> tuple[float, float]:
+                   n_points: int) -> tuple[float, float]:
     """Least-squares slope of log V_z(t) against log t on a geometric grid.
 
-    Returns (slope, r2).  Only finite scales are observable, so this reports
-    a fit, never a certified exponent.
+    The volumes come from one sweep of a fixed 2048 x 2048 grid over the
+    certified xi-slab of the disk |w - z| <= sqrt(t_hi).  Returns (slope, r2).
+    Only finite scales are observable, so this reports a fit, never a
+    certified exponent.
     """
     if not (0.0 < t_lo < t_hi):
         raise ValueError("need 0 < t_lo < t_hi")
     if n_points < 4:
         raise ValueError("need at least 4 sample points")
-    if grid is None:
-        grid = default_grid(spec, Disk(z, math.sqrt(t_hi)), n_x=2048, n_xi=2048)
+    grid = default_grid(spec, Disk(z, math.sqrt(t_hi)), n_x=2048, n_xi=2048)
     t = np.geomspace(t_lo, t_hi, n_points)
     vols = sublevel_volumes(spec, z, t, grid)
     if np.any(vols == 0.0):
@@ -616,13 +611,13 @@ def estimate_kappa(spec: SymbolSpec, z: complex, t_lo: float, t_hi: float,
     return float(slope), float(r2)
 
 
-def range_samples(spec: SymbolSpec, grid: PhaseGrid, max_samples: int = 200_000) -> np.ndarray:
-    """Samples of p over the grid, decimated to about max_samples.
+def range_samples(spec: SymbolSpec, grid: PhaseGrid) -> np.ndarray:
+    """Samples of p over the grid, decimated to about 200 000.
 
     Each block of _CHUNK_ROWS x-rows contributes every stride-th of its nodes
     in row-major order, and only those nodes are evaluated.
     """
-    stride = max(1, grid.n_x * grid.n_xi // max_samples)
+    stride = max(1, grid.n_x * grid.n_xi // 200_000)
     x, xi, n = grid.x_nodes(), grid.xi_nodes(), grid.n_xi
     out = []
     for lo in range(0, grid.n_x, _CHUNK_ROWS):

@@ -318,6 +318,20 @@ class TestBadNumbers:
         assert code == EXIT_CONFIG
         assert needle in err
 
+    @pytest.mark.parametrize("command, entries", [
+        ("spectrum", SPECTRUM_TINY),
+        ("weyl-ensemble", WEYL_TINY),
+    ])
+    def test_matrix_past_the_dimension_cap(self, capsys, tmp_path, command,
+                                           entries):
+        # K = 2048 gives N = 4097: rejected before any matrix is assembled
+        cfg = write_cfg(tmp_path, {**entries, "grid.k_rule": "2048"})
+        code, _, err = run(capsys, command, "--config", str(cfg),
+                           "--out", str(tmp_path / "out"))
+        assert code == EXIT_CONFIG
+        assert "N = 4097" in err and "exceeds the cap 4096" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["derive-params", "volume", "spectrum",
                                          "line-check"])
     def test_single_h_command_rejects_second_h(self, capsys, tmp_path, command):

@@ -21,7 +21,11 @@ from torweyl.experiments import (
     validate_config,
     weyl_prediction,
 )
-from torweyl.operators import GridParams, assemble_differential
+from torweyl.operators import (
+    GridParams,
+    assemble_differential,
+    assemble_toroidal_pdo,
+)
 from torweyl.perturbation import build_perturbed, derive_params, sample_potential
 from torweyl.serialize import json_text
 from torweyl.spectral import BumpFunction, singular_values
@@ -360,23 +364,32 @@ class TestFormulaGaps:
         z = 0.5 + 0.3j
         xi_bound = certified_xi_bound(spec, Disk(z, 0.6))
         ptilde, grid, info = shifted_symbol_for(spec, z, [z], 0.05, xi_bound)
-        from torweyl.operators import assemble_toroidal_pdo
-
         pt = assemble_toroidal_pdo(ptilde, grid).entries
         smallest = np.linalg.svd(pt - z * np.eye(grid.N),
                                  compute_uv=False)[-1]
         assert smallest >= 0.02
 
     def test_gap_records_are_consistent(self):
+        # the operator side from the eigenvalues of S = A* A with
+        # A = (Ptilde - z)^{-1} (P - z); the quadrature side as the mean over
+        # the 4K + 4 x-nodes of the sum over the modes xi = h k
         spec = catalog_symbol("xi2+exp(ix)")
-        z = 0.5 + 0.3j
+        z, alpha = 0.5 + 0.3j, 0.1
         xi_bound = certified_xi_bound(spec, Disk(z, 0.6))
         chi = BumpFunction()
         ptilde, grid, _ = shifted_symbol_for(spec, z, [z], 0.1, xi_bound)
-        tr = trace_formula_gap(spec, ptilde, z, 0.1, grid, chi)
-        ld = logdet_formula_gap(spec, ptilde, z, 0.1, grid, chi)
-        assert tr.gap == pytest.approx(
-            abs(tr.operator_value - tr.quadrature_value))
-        assert ld.gap == pytest.approx(
-            abs(ld.operator_value - ld.quadrature_value))
-        assert tr.operator_value > 0.0
+        eye = np.eye(grid.N)
+        a = np.linalg.solve(assemble_toroidal_pdo(ptilde, grid).entries - z * eye,
+                            assemble_differential(spec, grid).entries - z * eye)
+        lam = np.linalg.eigvalsh(a.conj().T @ a)
+        x = (np.arange(4 * grid.K + 4) * (TWO_PI / (4 * grid.K + 4)))[:, None]
+        xi = grid.h * grid.k_values()[None, :]
+        s = (np.abs(spec.eval_principal(x, xi) - z) ** 2
+             / np.abs(ptilde(x, xi) - z) ** 2)
+        trace_gap = abs(np.sum(chi(lam / alpha)) - np.sum(chi(s / alpha)) / len(s))
+        logdet_gap = abs(np.sum(np.log(lam + alpha * chi(lam / alpha)))
+                         - np.sum(np.log(s)) / len(s))
+        tr = trace_formula_gap(spec, ptilde, z, alpha, grid, chi)
+        ld = logdet_formula_gap(spec, ptilde, z, alpha, grid, chi)
+        assert tr.gap == pytest.approx(trace_gap, abs=1e-9)
+        assert ld.gap == pytest.approx(logdet_gap, abs=1e-9)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from torweyl.operators import (
+    MAX_DIM,
     BandwidthError,
     GridParams,
     assemble_differential,
@@ -13,6 +14,7 @@ from torweyl.operators import (
     convolution_matrix,
     hs_norm,
     sup_norm,
+    truncation_grid,
 )
 from torweyl.experiments import (
     GuardError,
@@ -107,13 +109,24 @@ class TestAssembleDifferential:
         assert np.array_equal(m.T, j @ m @ j)
 
 
+class TestTruncationGrid:
+    def test_dimension_cap(self):
+        # N = 2K + 1 = 4095 passes; 4097, explicit or from the K rule, does not
+        assert truncation_grid(0.1, 1.0, 2047).N == MAX_DIM - 1
+        with pytest.raises(ValueError, match="exceeds the cap 4096"):
+            truncation_grid(0.1, 1.0, 2048)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            truncation_grid(0.001, 1.5)
+
+
 class TestAssembleMultiplier:
     def test_constant_gives_identity(self):
         got = convolution_matrix(TrigPoly.constant(1.0), GridParams(h=0.1, K=3))
         assert np.array_equal(got, np.eye(7).astype(complex))
 
     def test_cosine_gives_symmetric_toeplitz(self):
-        got = convolution_matrix(TrigPoly.cosine(), GridParams(h=0.1, K=2))
+        cosine = TrigPoly({1: 0.5, -1: 0.5}, real=True)
+        got = convolution_matrix(cosine, GridParams(h=0.1, K=2))
         expected = 0.5 * (np.eye(5, k=1) + np.eye(5, k=-1))
         assert np.array_equal(got, expected.astype(complex))
 
@@ -140,7 +153,7 @@ class TestAssembleMultiplier:
         grid = GridParams(h=1.0, K=5)
         e = rng.standard_normal((grid.N, 3)) + 1j * rng.standard_normal((grid.N, 3))
         f = rng.standard_normal((grid.N, 3)) + 1j * rng.standard_normal((grid.N, 3))
-        q = TrigPoly.wave(2, 0.7 - 0.3j)
+        q = TrigPoly({2: 0.7 - 0.3j})
         got = f.conj().T @ convolution_matrix(q, grid) @ e
         n_g = 256
         x = np.arange(n_g) * (TWO_PI / n_g)
@@ -170,10 +183,12 @@ class TestToroidalPdo:
                                     grid).entries
         assert np.allclose(got, 2.5j * np.eye(7), atol=1e-14)
 
-    def test_minimum_x_resolution_enforced(self):
-        with pytest.raises(ValueError):
-            assemble_toroidal_pdo(lambda x, xi: xi, GridParams(h=0.1, K=4),
-                                  n_x=10)
+    def test_bandwidth_2k_multiplier_is_not_aliased(self):
+        # modes +-2K, the widest a truncation holds, on the 4K + 4 point grid
+        grid = GridParams(h=0.1, K=4)
+        g = TrigPoly({8: 0.5 - 0.2j, -8: 0.3j, 7: 1.0})
+        a = assemble_toroidal_pdo(lambda x, xi: g(x) + 0.0 * xi, grid).entries
+        assert np.max(np.abs(a - convolution_matrix(g, grid))) < 1e-12
 
     def test_mixed_symbol_matches_differential_assembly(self):
         # x-dependent coefficients times frequency powers quantize to the
@@ -262,7 +277,7 @@ class TestShiftedSymbols:
         z = 0.5 + 0.3j
         h = 0.1
         ptilde, grid, _ = shifted_symbol_for(
-            spec, z, [z], h, certified_xi_bound(spec, Disk(z, 0.6)), guard=0.1)
+            spec, z, [z], h, certified_xi_bound(spec, Disk(z, 0.6)))
         # the mode-aligned slab the guard is checked on
         phase = PhaseGrid(n_x=4 * grid.K + 4, xi_lo=-(h * (grid.K + 0.5)),
                           xi_hi=h * (grid.K + 0.5), n_xi=grid.N)
@@ -272,9 +287,16 @@ class TestShiftedSymbols:
         assert float(np.min(np.abs(vals - z))) >= 0.1
 
     def test_guard_failure_raises(self):
+        # xi_bound = 1 caps the lift window below |xi| = 0.95, so p itself,
+        # unlifted, passes through a test point at the node xi = 1.4 of the
+        # sampled grid for every candidate
         spec = catalog_symbol("xi2+exp(ix)")
+        h, xi_bound = 0.1, 1.0
+        K = truncation_grid(h, xi_bound).K
+        x = 3.5 * TWO_PI / (4 * K + 4)      # an x node of the sampled grid
+        z = complex(spec.eval_principal(x, 14 * h))
         with pytest.raises(GuardError):
-            shifted_symbol_for(spec, 0.5, [0.5], 0.1, 2.0, guard=50.0)
+            shifted_symbol_for(spec, z, [z], h, xi_bound)
 
     def test_lift_keeps_matrix_invertible_over_z_grid(self):
         for name in ("xi2+exp(ix)", "xi+exp(-ix)"):

@@ -277,15 +277,15 @@ class TestPrunedSweep:
 
 class TestRangeSamples:
     @SETTINGS
-    @given(symbol_specs(), st.integers(1, 300), st.integers(1, 300),
-           st.integers(1, 20_000))
-    @example(SymbolSpec(m=0, a=(TrigPoly({-1: 1.5 + 1j}),)), 128, 128, 8193)
-    @example(COMPLEX_MODES, 300, 300, 20_000)
-    def test_same_samples_as_decimated_full_grid(self, spec, n_x, n_xi, limit):
+    @given(symbol_specs(), st.integers(100, 300), st.integers(700, 2000))
+    @example(SymbolSpec(m=0, a=(TrigPoly({-1: 1.5 + 1j}),)), 128, 1563)
+    @example(COMPLEX_MODES, 300, 2000)
+    def test_same_samples_as_decimated_full_grid(self, spec, n_x, n_xi):
+        # 70 000 to 600 000 nodes, mostly above the 200 000 sample cap
         grid = PhaseGrid(n_x=n_x, xi_lo=-2.0, xi_hi=3.0, n_xi=n_xi)
-        stride = max(1, n_x * n_xi // limit)
+        stride = max(1, n_x * n_xi // 200_000)
         want = np.concatenate([block.ravel()[::stride]
                                for block in full_sweep(spec, grid)])
-        got = range_samples(spec, grid, limit)
+        got = range_samples(spec, grid)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()

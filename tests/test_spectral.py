@@ -58,10 +58,6 @@ class TestEigenvalues:
         assert np.allclose(sorted(eigs.real), oracle, atol=1e-10)
         assert np.max(np.abs(eigs.imag)) < 1e-10
 
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            eigenvalues(np.eye(8, dtype=complex), dim_cap=4)
-
 
 class TestCountInRegion:
     def test_empty(self):
@@ -135,12 +131,11 @@ class TestGrushin:
         assert np.allclose(sol.e_minus_plus, -np.diag([0.001, 0.5]), atol=1e-12)
         assert np.allclose(np.sort(np.linalg.svd(sol.e_minus_plus,
                                                  compute_uv=False)),
-                           sol.t[:2], atol=1e-9)
+                           singular_values(d)[:2], atol=1e-9)
 
     def test_hand_solved_two_by_two(self):
         a = np.array([[0.0, 0.0], [0.0, 2.0]], dtype=complex)
         sol = grushin_solve(a, 0.0, 1)
-        assert sol.t[0] == pytest.approx(0.0, abs=1e-14)
         assert np.allclose(sol.e_minus_plus, [[0.0]], atol=1e-12)
 
     def test_corner_singular_values_match_ladder(self):
@@ -148,7 +143,7 @@ class TestGrushin:
         a = random_complex(rng, 15)
         sol = grushin_solve(a, 0.2 - 0.1j, 4)
         got = np.sort(np.linalg.svd(sol.e_minus_plus, compute_uv=False))
-        assert np.allclose(got, sol.t[:4], atol=1e-9)
+        assert np.allclose(got, singular_values(a, 0.2 - 0.1j)[:4], atol=1e-9)
 
     def test_reassembly_residual(self):
         rng = np.random.default_rng(6)
@@ -208,7 +203,7 @@ class TestBumpFunction:
         assert chi(np.array([1.0, 2.0, -1.5])).tolist() == [0.0, 0.0, 0.0]
 
     def test_derivative_matches_finite_difference(self):
-        chi = BumpFunction(c=1.5)
+        chi = BumpFunction()
         t = np.linspace(-1.3, 1.3, 41)
         step = 1e-6
         fd = (chi(t + step) - chi(t - step)) / (2 * step)
@@ -225,18 +220,19 @@ class TestBumpFunction:
 class TestSpectralFunctional:
     def test_zero_matrix(self):
         chi = BumpFunction()
-        n, alpha = 6, 0.25
+        # at lambda = 0 both sides are n / t (chi(0) = psi(0) = 1), so only
+        # the finite-difference error remains
+        n = 6
         res = spectral_functional(np.zeros((n, n), dtype=complex), chi,
-                                  alpha=alpha, t_probe=0.3)
-        assert res.trace_val == pytest.approx(n * chi(0.0))
-        assert res.logdet_reg == pytest.approx(n * math.log(alpha * chi(0.0)))
+                                  alpha=0.25, t_probe=0.3)
+        assert res.deriv_residual <= 1e-8
 
     def test_identity_outside_support(self):
         chi = BumpFunction()
+        # chi(1 / t) = 0 near t = 0.5: both sides of the identity are 0
         res = spectral_functional(np.eye(5, dtype=complex), chi,
                                   alpha=0.5, t_probe=0.5)
-        assert res.trace_val == 0.0
-        assert res.logdet_reg == pytest.approx(0.0)
+        assert res.deriv_residual == 0.0
 
     def test_derivative_identity_on_random_psd(self):
         chi = BumpFunction()

@@ -4,11 +4,16 @@ Runs every ``configs/*.cfg`` through ``torweyl.cli.main`` with no overrides,
 each in its own directory under a temporary root, and prints one sorted
 ``sha256  path`` line per output file (``<config stem>/<file>``) and per
 command's stdout (``<config stem>.stdout``).  Two checkouts produce the same
-bytes exactly when their listings are equal:
+bytes exactly when their listings are equal.  ``tools/output_hashes.txt`` is
+the committed reference listing, and a change that keeps every output
+byte-identical gives an empty diff against it:
 
-    PYTHONPATH=src python tools/output_hashes.py > hashes.txt
+    diff <(PYTHONPATH=src python tools/output_hashes.py) tools/output_hashes.txt
 
-The run takes a few minutes; ``weyl_acceptance.cfg`` dominates.
+The run takes a few minutes; ``weyl_acceptance.cfg`` dominates.  The
+``weyl_*`` and ``spectrum`` hashes depend on LAPACK's rounding and so on the
+OpenBLAS kernel chosen for the CPU model: they match the reference only on
+the CPU model it was recorded on.
 """
 
 from __future__ import annotations
