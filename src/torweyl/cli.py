@@ -45,6 +45,7 @@ from .perturbation import (
     build_perturbed,
     derive_params,
     sample_potential,
+    seeded_generator,
     split_seed,
 )
 from .spectral import (
@@ -398,14 +399,9 @@ def cmd_spectrum(v: dict, out_dir: Path) -> int:
     else:
         target = P
     if v["pseudospec.enabled"]:
-        n_re, n_im = v["pseudospec.n_re"], v["pseudospec.n_im"]
-        if isinstance(region, Rectangle):
-            res = np.linspace(region.re_lo, region.re_hi, n_re)
-            ims = np.linspace(region.im_lo, region.im_hi, n_im)
-        else:
-            c, r = region.center, region.radius
-            res = np.linspace(c.real - r, c.real + r, n_re)
-            ims = np.linspace(c.imag - r, c.imag + r, n_im)
+        re_lo, re_hi, im_lo, im_hi = region.bounds()
+        res = np.linspace(re_lo, re_hi, v["pseudospec.n_re"])
+        ims = np.linspace(im_lo, im_hi, v["pseudospec.n_im"])
         pts = [complex(a, b) for b in ims for a in res]
         vals = pseudospectrum(target, pts)
         _write(out_dir, f"pseudospec_{tag}.csv",
@@ -509,14 +505,15 @@ def cmd_line_check(v: dict, out_dir: Path) -> int:
           f"max quasimode residual = {float(np.max(result.residuals)):.3e}")
     delta = v["line.delta"]
     region = one_of(v, "region.rect", "region.disk", required=False)
+    if region is not None:
+        payload["region"] = serialize.dumps_region(region)
     if delta:
         q = v["line.q_coeffs"]
         trials = v["line.trials_n"]
         shifted, counts = [], []
-        rng_keys = [split_seed(v["line.seed"], i) for i in range(trials)]
-        for key in rng_keys:
+        for i in range(trials):
             if q is None:
-                rng = np.random.Generator(np.random.Philox(key=key))
+                rng = seeded_generator(split_seed(v["line.seed"], i))
                 qk = TrigPoly({k: complex(a, b) for k, (a, b) in zip(
                     range(-2, 3), rng.standard_normal((5, 2)))})
             else:
@@ -528,13 +525,11 @@ def cmd_line_check(v: dict, out_dir: Path) -> int:
                 counts.append(line_count_in_region(gd, h, region))
         payload["perturbed_line_im"] = shifted
         if region is not None:
-            payload["region"] = serialize.dumps_region(region)
             payload["region_counts"] = counts
             print(f"closed-form counts in region over {trials} trials: {counts}")
         print(f"perturbed line Im z values: {[f'{s:.6g}' for s in shifted]}")
     elif region is not None:
         count = line_count_in_region(g, h, region)
-        payload["region"] = serialize.dumps_region(region)
         payload["region_counts"] = [count]
         print(f"closed-form count in region: {count}")
     _write(out_dir, "linecheck.json", serialize.json_text(payload))
@@ -566,7 +561,7 @@ def cmd_identity_checks(v: dict, out_dir: Path) -> int:
     fu_trials, fu_dim = v["checks.fu_trials_n"], v["checks.fu_dim"]
 
     results = []
-    rng = np.random.Generator(np.random.Philox(key=split_seed(master, 1)))
+    rng = seeded_generator(split_seed(master, 1))
     worst_det = 0.0
     worst_tiny = 0.0
     for i in range(det_trials):
@@ -585,7 +580,7 @@ def cmd_identity_checks(v: dict, out_dir: Path) -> int:
     results.append(("det-factorization-near-singular", worst_tiny, 1e-6))
 
     worst_block = 0.0
-    rng = np.random.Generator(np.random.Philox(key=split_seed(master, 2)))
+    rng = seeded_generator(split_seed(master, 2))
     for _ in range(10):
         a = _random_matrix(rng, det_dim)
         sol = grushin_solve(a, 0.0, 3)
@@ -602,7 +597,7 @@ def cmd_identity_checks(v: dict, out_dir: Path) -> int:
 
     chi = BumpFunction()
     worst_fu = 0.0
-    rng = np.random.Generator(np.random.Philox(key=split_seed(master, 3)))
+    rng = seeded_generator(split_seed(master, 3))
     for _ in range(fu_trials):
         b = rng.standard_normal((fu_dim, fu_dim)) + 1j * rng.standard_normal(
             (fu_dim, fu_dim))

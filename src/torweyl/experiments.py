@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import serialize
 from .operators import (
     GridParams,
     OperatorMatrix,
@@ -44,7 +45,6 @@ from .symbols import (
     TWO_PI,
     BoundaryTube,
     PhaseGrid,
-    Rectangle,
     Region,
     SymbolSpec,
     TrigPoly,
@@ -100,8 +100,6 @@ class ExperimentConfig:
         return kappa_floor(self.spec) if self.kappa == "auto" else float(self.kappa)
 
     def as_dict(self) -> dict:
-        from . import serialize
-
         out = {f.name: getattr(self, f.name) for f in fields(self)
                if f.name != "spec"}
         out.update(
@@ -168,19 +166,18 @@ def validate_config(config: ExperimentConfig) -> ValidationInfo:
     if not bool(np.all(config.omega.contains(mesh))):
         raise InvalidConfigError("region is not contained in the declared Omega")
 
-    samples = range_samples(config.spec, grid)
+    # the Omega mesh and the 2r offsets of the region mesh share one search
     omega_mesh = boundary_probes(config.omega, 128)
-    dist = distance_to_samples(samples, omega_mesh)
-    if float(np.max(dist)) <= config.omega_clearance:
+    ring = 2.0 * config.tube_r * np.exp(1j * TWO_PI * np.arange(8) / 8.0)
+    offsets = np.asarray(mesh) + ring[:, None]
+    dist = distance_to_samples(range_samples(config.spec, grid),
+                               np.concatenate([omega_mesh, offsets.ravel()]))
+    omega_dist, tube_dist = dist[:len(omega_mesh)], dist[len(omega_mesh):]
+    if float(np.max(omega_dist)) <= config.omega_clearance:
         raise InvalidConfigError(
             "Omega appears to be contained in the sampled symbol range; "
             "it must escape the range somewhere"
         )
-
-    offsets = np.asarray(mesh) + 2.0 * config.tube_r * np.exp(
-        1j * TWO_PI * np.arange(8) / 8.0
-    )[:, None]
-    tube_dist = distance_to_samples(samples, offsets.ravel())
     if float(np.max(tube_dist)) > config.omega_clearance:
         warnings.append(
             "region is within 2r of the sampled range boundary; the tube "
@@ -420,6 +417,8 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> WeylReport:
         for ctx in contexts:
             baseline = _baseline_trial(ctx)
             indices = list(range(config.n_trials))
+            # one worker runs inline: a pool thread gets an OpenBLAS buffer
+            # of its own (weyl-acceptance peak RSS 82.7 -> 93.0 MB)
             if workers > 1:
                 with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
                     trials = list(pool.map(
@@ -502,18 +501,11 @@ def line_spectrum(g: TrigPoly, h: float, k_lo: int, k_hi: int) -> np.ndarray:
 
 def line_count_in_region(g: TrigPoly, h: float, region: Region) -> int:
     """Count of the closed-form spectrum inside the region."""
-    mean = complex(g.mean())
-    base = region.base if isinstance(region, BoundaryTube) else region
-    pad = region.r if isinstance(region, BoundaryTube) else 0.0
-    if isinstance(base, Rectangle):
-        lo, hi = base.re_lo - pad, base.re_hi + pad
-    else:
-        lo = base.center.real - base.radius - pad
-        hi = base.center.real + base.radius + pad
-    k_lo = int(math.floor((lo - mean.real) / h)) - 1
-    k_hi = int(math.ceil((hi - mean.real) / h)) + 1
-    lam = line_spectrum(g, h, k_lo, k_hi)
-    return int(np.count_nonzero(region.contains(lam)))
+    lo, hi, _, _ = region.bounds()
+    mean = g.mean().real
+    k_lo = int(math.floor((lo - mean) / h)) - 1
+    k_hi = int(math.ceil((hi - mean) / h)) + 1
+    return count_in_region(line_spectrum(g, h, k_lo, k_hi), region)
 
 
 def line_model_check(g: TrigPoly, h: float, k_max: int,
@@ -528,7 +520,6 @@ def line_model_check(g: TrigPoly, h: float, k_max: int,
     """
     if g.bandwidth > 2 * grid.K:
         raise ResolutionError("g exceeds the representable bandwidth")
-    mean = complex(g.mean())
     G0 = _antiderivative(g)
     n_fft = 1
     while n_fft < max(8 * (grid.K + 1), 256):
@@ -550,22 +541,19 @@ def line_model_check(g: TrigPoly, h: float, k_max: int,
     spec = SymbolSpec(m=1, a=(g, TrigPoly.constant(1.0)))
     P = assemble_differential(spec, grid).entries
     kvals = grid.k_values()
-    lookup = {int(n): c for n, c in zip(freqs, coeffs)}
-    ks = np.arange(-k_max, k_max + 1)
-    lambdas = mean + h * ks
-    residuals = np.empty(ks.shape, dtype=float)
-    for i, k in enumerate(ks):
-        u = np.array([lookup.get(int(j - k), 0j) for j in kvals])
-        norm = float(np.linalg.norm(u))
-        res = P @ u - lambdas[i] * u
-        residuals[i] = float(np.linalg.norm(res)) / norm
-    line_im = mean.imag
-    max_dev = float(np.max(np.abs(lambdas.imag - line_im)))
+    lambdas = line_spectrum(g, h, -k_max, k_max)
+    residuals = np.empty(lambdas.shape, dtype=float)
+    for i, k in enumerate(range(-k_max, k_max + 1)):
+        # |j - k| <= 2K < n_fft / 2: index (j - k) mod n_fft is mode j - k
+        u = coeffs[(kvals - k) % n_fft]
+        residuals[i] = (float(np.linalg.norm(P @ u - lambdas[i] * u))
+                        / float(np.linalg.norm(u)))
+    line_im = g.mean().imag
     return LineModelResult(
         lambdas=lambdas,
         residuals=residuals,
         line_im=line_im,
-        max_line_deviation=max_dev,
+        max_line_deviation=float(np.max(np.abs(lambdas.imag - line_im))),
         tail_ratio=tail_ratio,
     )
 
@@ -579,28 +567,24 @@ class FormulaGap:
     gap: float
 
 
-def _pz_square(spec: SymbolSpec, ptilde, z: complex, grid: GridParams):
-    """S = A* A with A the discrete (Ptilde - z)^{-1} (P - z)."""
+def _pz_spectrum(spec: SymbolSpec, ptilde, z: complex, grid: GridParams):
+    """Eigenvalues of S = A* A with A the discrete (Ptilde - z)^{-1} (P - z)."""
     P = assemble_differential(spec, grid).entries
     Pt = assemble_toroidal_pdo(ptilde, grid).entries
     eye = np.eye(grid.N)
     A = np.linalg.solve(Pt - z * eye, P - z * eye)
     S = A.conj().T @ A
-    return 0.5 * (S + S.conj().T)
+    return np.linalg.eigvalsh(0.5 * (S + S.conj().T))
 
 
 def _mode_aligned_quadrature(spec: SymbolSpec, ptilde, z: complex,
                              grid: GridParams) -> np.ndarray:
-    """Values of s = |p - z|^2 / |ptilde - z|^2 on the x-grid times the modes.
-
-    The x-grid has 4K + 4 points, one row of s each.  The xi nodes sit
-    exactly at h k, i.e. at the midpoints of the cells
+    """Values of s = |p - z|^2 / |ptilde - z|^2 on the grid's x-nodes (rows)
+    times its xi-nodes h k (columns).  These sit at the midpoints of the cells
     [h(k - 1/2), h(k + 1/2)], so (2 pi h)^{-1} * sum * cell = mean over x of
     the mode sum.
     """
-    n_x = 4 * grid.K + 4
-    x = np.arange(n_x) * (TWO_PI / n_x)
-    xi = grid.h * grid.k_values()
+    x, xi = grid.x_nodes(), grid.xi_nodes()
     p = spec.eval_principal(x[:, None], xi[None, :])
     pt = np.asarray(ptilde(x[:, None], xi[None, :]), dtype=complex)
     return np.abs(p - z) ** 2 / np.abs(pt - z) ** 2
@@ -609,8 +593,7 @@ def _mode_aligned_quadrature(spec: SymbolSpec, ptilde, z: complex,
 def trace_formula_gap(spec: SymbolSpec, ptilde, z: complex, alpha: float,
                       grid: GridParams, chi: BumpFunction) -> FormulaGap:
     """tr chi(S/alpha) against (2 pi h)^{-1} iint chi(s/alpha) dx dxi."""
-    S = _pz_square(spec, ptilde, z, grid)
-    lam = np.linalg.eigvalsh(S)
+    lam = _pz_spectrum(spec, ptilde, z, grid)
     trace_val = float(np.sum(chi(lam / alpha)))
     s = _mode_aligned_quadrature(spec, ptilde, z, grid)
     quad = float(np.sum(chi(s / alpha))) / len(s)
@@ -620,8 +603,7 @@ def trace_formula_gap(spec: SymbolSpec, ptilde, z: complex, alpha: float,
 def logdet_formula_gap(spec: SymbolSpec, ptilde, z: complex, alpha: float,
                        grid: GridParams, chi: BumpFunction) -> FormulaGap:
     """ln det(S + alpha chi(S/alpha)) against (2 pi h)^{-1} iint ln s dx dxi."""
-    S = _pz_square(spec, ptilde, z, grid)
-    lam = np.linalg.eigvalsh(S)
+    lam = _pz_spectrum(spec, ptilde, z, grid)
     logdet = float(np.sum(np.log(lam + alpha * chi(lam / alpha))))
     s = _mode_aligned_quadrature(spec, ptilde, z, grid)
     if np.any(s == 0.0):
@@ -699,10 +681,9 @@ def shifted_symbol_for(spec: SymbolSpec, z_center: complex,
     """
     grid = truncation_grid(h, xi_bound)
     K = grid.K
-    phase = PhaseGrid(n_x=4 * K + 4, xi_lo=-(h * (K + 0.5)),
+    phase = PhaseGrid(n_x=grid.n_x, xi_lo=-(h * (K + 0.5)),
                       xi_hi=h * (K + 0.5), n_xi=grid.N)
-    x = phase.x_nodes()[:, None]
-    xi = phase.xi_nodes()[None, :]
+    x, xi = phase.x_nodes()[:, None], phase.xi_nodes()[None, :]
     pts = [complex(z) for z in test_points]
     span = max(abs(z - z_center) for z in pts)
     top = max(z.imag for z in pts)

@@ -22,6 +22,11 @@ class BandwidthError(ValueError):
     """A coefficient's Fourier support exceeds what the truncation holds."""
 
 
+# the largest matrix dimension N = 2K + 1 a grid may have, checked before any
+# matrix is built: the dense eigensolve and probes of one trial stay at desk scale
+MAX_DIM = 4096
+
+
 @dataclass(frozen=True)
 class GridParams:
     """Semiclassical parameter and Fourier truncation; dimension N = 2K + 1."""
@@ -34,37 +39,40 @@ class GridParams:
             raise ValueError("h must lie in (0, 1]")
         if self.K < 1:
             raise ValueError("K must be at least 1")
+        if self.N > MAX_DIM:
+            raise ValueError(f"matrix dimension N = {self.N} at h = {self.h:g} "
+                             f"exceeds the cap {MAX_DIM}")
 
     @property
     def N(self) -> int:
         return 2 * self.K + 1
 
+    @property
+    def n_x(self) -> int:
+        """Quantization x-grid size: 4K + 4 removes aliasing at bandwidth 2K."""
+        return 4 * self.K + 4
+
     def k_values(self) -> np.ndarray:
         return np.arange(-self.K, self.K + 1)
 
+    def x_nodes(self) -> np.ndarray:
+        return np.arange(self.n_x) * (TWO_PI / self.n_x)
 
-# the largest matrix dimension N = 2K + 1 a truncation may have: the dense
-# eigensolve and the probes of one trial stay at desk scale
-MAX_DIM = 4096
+    def xi_nodes(self) -> np.ndarray:
+        return self.h * self.k_values()
 
 
 def truncation_grid(h: float, xi_bound: float, k_rule: object = "auto") -> GridParams:
     """Grid whose frequencies h*k cover 1.5 times a certified |xi| bound.
 
     ``k_rule`` is "auto" for K = ceil(1.5 * xi_bound / h), or an explicit K.
-    A grid with N above MAX_DIM is a ValueError, raised before any matrix of
-    that size is built.
     """
     if k_rule != "auto":
         K = int(k_rule)
     else:
         # h <= 0 skips the division and is rejected by GridParams
         K = int(math.ceil(1.5 * xi_bound / h)) if h > 0 else 1
-    grid = GridParams(h=h, K=K)
-    if grid.N > MAX_DIM:
-        raise ValueError(f"matrix dimension N = {grid.N} at h = {h:g} exceeds "
-                         f"the cap {MAX_DIM}")
-    return grid
+    return GridParams(h=h, K=K)
 
 
 @dataclass(frozen=True)
@@ -100,7 +108,7 @@ def convolution_matrix(u: TrigPoly, grid: GridParams, *, label: str = "q") -> np
 
 def assemble_differential(spec: SymbolSpec, grid: GridParams) -> OperatorMatrix:
     """Matrix of sum_a a_a(x) (hD)^a, plus h times any first-order corrections."""
-    w = (grid.h * grid.k_values()).astype(float)
+    w = grid.xi_nodes().astype(float)
     total = np.zeros((grid.N, grid.N), dtype=complex)
     for alpha in range(spec.m + 1):
         coeff = spec.a[alpha]
@@ -122,15 +130,13 @@ def assemble_toroidal_pdo(symbol: Callable, grid: GridParams) -> OperatorMatrix:
     """Kohn-Nirenberg quantization of a general symbol(x, xi).
 
     Entry (j, k) = (1/n_x) sum_x symbol(x, h k) e^{-i (j-k) x} over the
-    uniform grid of n_x = 4K + 4 points, which removes aliasing for
-    bandwidth-2K symbols.  ``symbol`` must accept broadcast ndarray arguments.
+    grid's x-nodes.  ``symbol`` must accept broadcast ndarray arguments.
     """
-    n_x = 4 * grid.K + 4
-    x = np.arange(n_x) * (TWO_PI / n_x)
     k = grid.k_values()
-    vals = np.asarray(symbol(x[:, None], grid.h * k[None, :]), dtype=complex)
-    spectra = np.fft.fft(vals, axis=0) / n_x
-    offset = (k[:, None] - k[None, :]) % n_x
+    vals = np.asarray(symbol(grid.x_nodes()[:, None], grid.xi_nodes()[None, :]),
+                      dtype=complex)
+    spectra = np.fft.fft(vals, axis=0) / grid.n_x
+    offset = (k[:, None] - k[None, :]) % grid.n_x
     entries = spectra[offset, np.arange(grid.N)[None, :]]
     return OperatorMatrix(entries, grid)
 

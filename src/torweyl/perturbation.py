@@ -230,6 +230,11 @@ def split_seed(master_seed: int, trial_index: int) -> int:
     return (master_seed * golden + trial_index * 0xBF58476D1CE4E5B9 + 1) % 2**64
 
 
+def seeded_generator(seed: int) -> np.random.Generator:
+    """Counter-based generator keyed by the seed mod 2^64."""
+    return np.random.Generator(np.random.Philox(key=seed % 2**64))
+
+
 def sample_potential(plan: PerturbationPlan, seed: int,
                      real_mode: bool = False) -> RandomPotential:
     """Draw alpha uniformly on the radius-R coefficient ball.
@@ -248,7 +253,7 @@ def sample_potential(plan: PerturbationPlan, seed: int,
     d = plan.D
     k_max = d // 2
     ks = np.concatenate([np.arange(-k_max, 0), np.arange(1, k_max + 1)])
-    rng = np.random.Generator(np.random.Philox(key=seed % 2**64))
+    rng = seeded_generator(seed)
     if real_mode:
         g = rng.standard_normal(d)
         g /= np.linalg.norm(g)

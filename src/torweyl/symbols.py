@@ -276,6 +276,10 @@ class Rectangle:
                    for i in (self.im_lo, self.im_hi)]
         return max(abs(c) for c in corners)
 
+    def bounds(self) -> tuple[float, float, float, float]:
+        """(re_lo, re_hi, im_lo, im_hi) of the smallest enclosing box."""
+        return self.re_lo, self.re_hi, self.im_lo, self.im_hi
+
     def boundary_points(self, n: int) -> np.ndarray:
         """n points equally spaced in arclength along the boundary."""
         w = self.re_hi - self.re_lo
@@ -320,6 +324,10 @@ class Disk:
     def sup_abs(self) -> float:
         return abs(self.center) + self.radius
 
+    def bounds(self) -> tuple[float, float, float, float]:
+        c, r = self.center, self.radius
+        return c.real - r, c.real + r, c.imag - r, c.imag + r
+
     def boundary_points(self, n: int) -> np.ndarray:
         th = TWO_PI * (np.arange(n) + 0.5) / n
         return self.center + self.radius * np.exp(1j * th)
@@ -347,6 +355,10 @@ class BoundaryTube:
 
     def sup_abs(self) -> float:
         return self.base.sup_abs() + self.r
+
+    def bounds(self) -> tuple[float, float, float, float]:
+        re_lo, re_hi, im_lo, im_hi = self.base.bounds()
+        return re_lo - self.r, re_hi + self.r, im_lo - self.r, im_hi + self.r
 
 
 Region = Union[Rectangle, Disk, BoundaryTube]

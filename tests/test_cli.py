@@ -318,14 +318,16 @@ class TestBadNumbers:
         assert code == EXIT_CONFIG
         assert needle in err
 
+    # each command that builds a Fourier grid, with its K key set to 2048
     @pytest.mark.parametrize("command, entries", [
-        ("spectrum", SPECTRUM_TINY),
-        ("weyl-ensemble", WEYL_TINY),
+        ("spectrum", {**SPECTRUM_TINY, "grid.k_rule": "2048"}),
+        ("weyl-ensemble", {**WEYL_TINY, "grid.k_rule": "2048"}),
+        ("line-check", {"line.g_coeffs": "-1 1 0", "line.grid_K": "2048"}),
     ])
     def test_matrix_past_the_dimension_cap(self, capsys, tmp_path, command,
                                            entries):
         # K = 2048 gives N = 4097: rejected before any matrix is assembled
-        cfg = write_cfg(tmp_path, {**entries, "grid.k_rule": "2048"})
+        cfg = write_cfg(tmp_path, entries)
         code, _, err = run(capsys, command, "--config", str(cfg),
                            "--out", str(tmp_path / "out"))
         assert code == EXIT_CONFIG

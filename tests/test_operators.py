@@ -111,10 +111,13 @@ class TestAssembleDifferential:
 
 class TestTruncationGrid:
     def test_dimension_cap(self):
-        # N = 2K + 1 = 4095 passes; 4097, explicit or from the K rule, does not
+        # N = 2K + 1 = 4095 passes; 4097, explicit, from the K rule or built
+        # directly, does not
         assert truncation_grid(0.1, 1.0, 2047).N == MAX_DIM - 1
         with pytest.raises(ValueError, match="exceeds the cap 4096"):
             truncation_grid(0.1, 1.0, 2048)
+        with pytest.raises(ValueError, match="N = 4097 at h = 0.1 exceeds"):
+            GridParams(h=0.1, K=2048)
         with pytest.raises(ValueError, match="exceeds the cap"):
             truncation_grid(0.001, 1.5)
 
