@@ -57,6 +57,7 @@ from .spectral import (
     eigenvalues,
     grushin_solve,
     pseudospectrum,
+    schur,
     single_blas_thread,
     spectral_functional,
 )
@@ -365,8 +366,8 @@ SPECTRUM = {
 }
 
 
-# the eigensolves and the Schur form run on one BLAS thread, as run_ensemble's
-# trials do; a contextlib context manager can decorate a function
+# the Schur forms run on one BLAS thread, as run_ensemble's trials do; a
+# contextlib context manager can decorate a function
 @single_blas_thread()
 def cmd_spectrum(v: dict, out_dir: Path) -> int:
     spec = one_of(v, "symbol.model", "symbol.file")
@@ -376,7 +377,10 @@ def cmd_spectrum(v: dict, out_dir: Path) -> int:
     grid = config_object(truncation_grid, h, bound, v["grid.k_rule"])
     P = assemble_differential(spec, grid)
     tag = f"{h:g}"
-    _write(out_dir, f"eigs_{tag}_base.csv", serialize.eigs_csv(eigenvalues(P)))
+    # one Schur form per matrix gives its eigenvalues and the resolvent floor
+    target = schur(P)
+    _write(out_dir, f"eigs_{tag}_base.csv",
+           serialize.eigs_csv(eigenvalues(target)))
     payload = {
         "schema": "torweyl.spectrum.v2",
         "h": h, "K": grid.K, "N": grid.N,
@@ -391,13 +395,10 @@ def cmd_spectrum(v: dict, out_dir: Path) -> int:
             l_cap=h * grid.K,
         )
         pot = sample_potential(plan, split_seed(seed, 0))
-        perturbed = build_perturbed(P, plan, pot)
+        target = schur(build_perturbed(P, plan, pot))
         _write(out_dir, f"eigs_{tag}_0.csv",
-               serialize.eigs_csv(eigenvalues(perturbed)))
+               serialize.eigs_csv(eigenvalues(target)))
         payload["plan"] = plan.as_dict()
-        target = perturbed
-    else:
-        target = P
     if v["pseudospec.enabled"]:
         re_lo, re_hi, im_lo, im_hi = region.bounds()
         res = np.linspace(re_lo, re_hi, v["pseudospec.n_re"])
@@ -449,7 +450,7 @@ def cmd_weyl_ensemble(v: dict, out_dir: Path) -> int:
     _write(out_dir, "report.json", serialize.json_text(rd))
     _write(out_dir, "trials.csv", serialize.trials_csv(rd))
     _write(out_dir, "params.json", serialize.json_text(
-        {"schema": "torweyl.params.v1",
+        {"schema": "torweyl.params.v2",
          "config": rd["config"],
          "plans": [rec["plan"] for rec in rd["per_h"]]}))
     if v["run.write_eigs"]:

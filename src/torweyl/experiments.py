@@ -38,6 +38,7 @@ from .spectral import (
     count_in_region,
     eigenvalues,
     log_abs_det,
+    schur,
     single_blas_thread,
     singular_values,
 )
@@ -85,13 +86,11 @@ class ExperimentConfig:
     n_trials: int = 20
     master_seed: int = 0
     k_rule: object = "auto"         # "auto" or an explicit K
-    z_probes: tuple[complex, ...] | None = None
     n_probes: int = 5
     tube_r: float = 0.05
     rel_tol: float = 0.15
     eps_tilde_factor: float = 10.0
     real_potentials: bool = False
-    require_symmetry: bool = True
     vol_n_x: int = 512
     vol_n_xi: int = 512
     omega_clearance: float = 0.05
@@ -108,8 +107,6 @@ class ExperimentConfig:
             omega=serialize.dumps_region(self.omega),
             kappa="auto" if self.kappa == "auto" else float(self.kappa),
             kappa_resolved=self.resolved_kappa(),
-            z_probes=None if self.z_probes is None
-            else [[z.real, z.imag] for z in self.z_probes],
         )
         return out
 
@@ -147,7 +144,7 @@ def validate_config(config: ExperimentConfig) -> ValidationInfo:
     holds, _ = check_ellipticity(config.spec)
     if not holds:
         raise InvalidConfigError("symbol fails the classical ellipticity test")
-    if config.require_symmetry and not check_symmetry(config.spec):
+    if not check_symmetry(config.spec):
         raise InvalidConfigError(
             "symbol is not even in xi; Weyl counting runs require symmetry"
         )
@@ -204,6 +201,7 @@ class TrialResult:
     relative_error: float
     sigma_min_probes: tuple[float, ...]
     logdet_probes: tuple[float | None, ...]
+    eta: float | None = None
     error: str | None = None
     eigvals: np.ndarray | None = None
 
@@ -217,6 +215,7 @@ class TrialResult:
             "relative_error": rel,
             "sigma_min_probes": list(self.sigma_min_probes),
             "logdet_probes": list(self.logdet_probes),
+            "eta": self.eta,
             "error": self.error,
         }
 
@@ -249,11 +248,10 @@ def _context_for_h(config: ExperimentConfig, h: float, info: ValidationInfo,
         delta_eff=config.delta_eff,
         l_cap=h * grid.K,
     )
-    probes = (config.z_probes if config.z_probes is not None
-              else boundary_probes(config.region, config.n_probes))
     return _TrialContext(
         config=config, h=h, grid=grid, P=P, plan=plan,
-        prediction=weyl_prediction(volume, h), z_probes=probes,
+        prediction=weyl_prediction(volume, h),
+        z_probes=boundary_probes(config.region, config.n_probes),
     )
 
 
@@ -263,16 +261,24 @@ def _relative_error(count: int, prediction: float) -> float:
     return 0.0 if count == 0 else math.inf
 
 
+def _rounding_floor(matrix: OperatorMatrix) -> float:
+    """eta = N eps ||A||_F: a probe value below it describes rounding."""
+    a = matrix.entries
+    return a.shape[0] * float(np.finfo(float).eps) * float(np.linalg.norm(a))
+
+
 def _measure(ctx: _TrialContext, matrix: OperatorMatrix,
              seed: int | None) -> TrialResult:
-    """Eigenvalues, region count and boundary probes of one trial matrix."""
-    eigs = eigenvalues(matrix)
+    """Eigenvalues, region count and boundary probes of one trial matrix,
+    all from its one Schur form."""
+    form = schur(matrix)
+    eigs = eigenvalues(form)
     count = count_in_region(eigs, ctx.config.region)
     sig, logd = [], []
     for z in ctx.z_probes:
-        sig.append(float(singular_values(matrix, z)[0]))
+        sig.append(singular_values(form, z))
         try:
-            logd.append(log_abs_det(matrix, z))
+            logd.append(log_abs_det(form, z))
         except SingularMatrixError:
             logd.append(None)
     return TrialResult(
@@ -282,6 +288,7 @@ def _measure(ctx: _TrialContext, matrix: OperatorMatrix,
         relative_error=_relative_error(count, ctx.prediction),
         sigma_min_probes=tuple(sig),
         logdet_probes=tuple(logd),
+        eta=_rounding_floor(matrix),
         eigvals=eigs,
     )
 
@@ -354,7 +361,7 @@ class WeylReport:
 
     def as_dict(self) -> dict:
         return {
-            "schema": "torweyl.report.v1",
+            "schema": "torweyl.report.v2",
             "config": self.config.as_dict(),
             "per_h": [rec.as_dict() for rec in self.per_h],
             "c_fit": self.c_fit,
@@ -658,7 +665,7 @@ MATRIX_GUARD = 0.02
 
 def _matrix_guard_ok(candidate, test_points, grid: GridParams) -> bool:
     pt = assemble_toroidal_pdo(candidate, grid)
-    return all(singular_values(pt, z)[0] >= MATRIX_GUARD for z in test_points)
+    return all(singular_values(pt, z) >= MATRIX_GUARD for z in test_points)
 
 
 def shifted_symbol_for(spec: SymbolSpec, z_center: complex,

@@ -1,9 +1,11 @@
 """Dense linear-algebra layer.
 
-Eigenvalues and singular values of shifted operators, log-determinants by
-pivoted factorization, bordered (Grushin) block systems built from singular
-pairs, the scalar functional-calculus identities for Hermitian positive
-matrices, and the scope in which the bundled BLAS runs on one thread.
+One complex Schur form per matrix (``schur``), from which the eigenvalues,
+the smallest singular value and ln|det| at any shift are read; dense SVDs
+and pivoted LUs for plain matrices; bordered (Grushin) block systems built
+from singular pairs; the scalar functional-calculus identities for
+Hermitian positive matrices; and the scope in which the bundled BLAS runs
+on one thread.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 import threading
 import warnings
 from dataclasses import dataclass
@@ -20,7 +23,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 import scipy.linalg
 
-from .operators import OperatorMatrix
+from .operators import GridParams, OperatorMatrix
 from .symbols import Region
 
 
@@ -49,22 +52,30 @@ _OPENBLAS_COPIES = (
 )
 
 
+def _bundled_openblas(package, pattern: str) -> Iterator[ctypes.CDLL]:
+    """Each OpenBLAS library file bundled with the package that opens.
+
+    Opening a library that is already loaded returns the loaded copy, so
+    its functions act on the BLAS that the package calls.
+    """
+    libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+    for path in sorted(libs.glob(pattern)):
+        try:
+            yield ctypes.CDLL(str(path))
+        except OSError:
+            continue
+
+
 @functools.cache
 def _openblas_threads() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
-    """(get, set) thread-count functions of each bundled OpenBLAS copy found.
-
-    Opening a library that is already loaded returns the loaded copy, so the
-    functions act on the BLAS that numpy and scipy call.
-    """
+    """(get, set) thread-count functions of each bundled OpenBLAS copy found."""
     found = []
     for package, pattern, suffix in _OPENBLAS_COPIES:
-        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
-        for path in sorted(libs.glob(pattern)):
+        for lib in _bundled_openblas(package, pattern):
             try:
-                lib = ctypes.CDLL(str(path))
                 get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
                 put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-            except (OSError, AttributeError):
+            except AttributeError:
                 continue
             get.argtypes, get.restype = [], ctypes.c_int
             put.argtypes, put.restype = [ctypes.c_int], None
@@ -129,17 +140,125 @@ def _as_matrix(op) -> np.ndarray:
     return np.asarray(op, dtype=complex)
 
 
-def eigenvalues(op) -> np.ndarray:
-    """All eigenvalues of the dense matrix."""
+# ---------------------------------------------------------------------------
+# the Schur form
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SchurForm:
+    """Complex Schur form A = Z T Z* of a square matrix, without Z.
+
+    ``entries`` is the upper-triangular T, Fortran-ordered (the layout the
+    triangular solves read without a copy) and read-only; ``grid`` is the
+    operator's grid, None for a plain array.
+    """
+
+    entries: np.ndarray
+    grid: GridParams | None
+
+
+_I64 = ctypes.c_int64
+_PTR = ctypes.c_void_p
+_COL_MAJOR = 102
+# LAPACKE_zgeev_work(layout, jobvl, jobvr, n, a, lda, w, vl, ldvl, vr, ldvr,
+#                    work, lwork, rwork)
+_GEEV_ARGS = [ctypes.c_int, ctypes.c_char, ctypes.c_char, _I64, _PTR, _I64,
+              _PTR, _PTR, _I64, _PTR, _I64, _PTR, _I64, _PTR]
+# LAPACKE_zgees_work(layout, jobvs, sort, select, n, a, lda, sdim, w, vs,
+#                    ldvs, work, lwork, rwork, bwork)
+_GEES_ARGS = [ctypes.c_int, ctypes.c_char, ctypes.c_char, _PTR, _I64, _PTR,
+              _I64, _PTR, _PTR, _PTR, _I64, _PTR, _I64, _PTR, _PTR]
+
+
+@functools.cache
+def _numpy_lapacke():
+    """(zgeev_work, zgees_work) of the ILP64 OpenBLAS that numpy bundles, or
+    None where numpy was built against another LAPACK."""
+    package, pattern, _ = _OPENBLAS_COPIES[0]
+    for lib in _bundled_openblas(package, pattern):
+        try:
+            geev = lib.scipy_LAPACKE_zgeev_work64_
+            gees = lib.scipy_LAPACKE_zgees_work64_
+        except AttributeError:
+            continue
+        for fn, args in ((geev, _GEEV_ARGS), (gees, _GEES_ARGS)):
+            fn.argtypes, fn.restype = args, _I64
+        return geev, gees
+    return None
+
+
+def _schur_numpy_lapack(t: np.ndarray, lapacke) -> int:
+    """Overwrite the Fortran-ordered t with its Schur form; LAPACK's info."""
+    geev, gees = lapacke
+    n = t.shape[0]
+    ld = max(n, 1)
+    # np.linalg.eig's workspace: zgeev's answer for right eigenvectors.  The
+    # Hessenberg and QR steps block by the workspace they are given, so the
+    # same workspace makes them round as eig's do
+    query = np.zeros(1, dtype=complex)
+    dummy = np.zeros(1, dtype=complex)
+    rdummy = np.zeros(1)
+    info = geev(_COL_MAJOR, b"N", b"V", n, dummy.ctypes.data, ld,
+                dummy.ctypes.data, dummy.ctypes.data, 1, dummy.ctypes.data,
+                ld, query.ctypes.data, -1, rdummy.ctypes.data)
+    if info != 0:
+        return int(info)
+    lwork = max(int(query[0].real), 1)
+    w = np.empty(ld, dtype=complex)
+    work = np.empty(lwork, dtype=complex)
+    rwork = np.empty(ld)
+    sdim = _I64(0)
+    # the call releases the GIL, so trials on worker threads factor at once
+    return int(gees(_COL_MAJOR, b"N", b"N", None, n, t.ctypes.data, ld,
+                    ctypes.byref(sdim), w.ctypes.data, dummy.ctypes.data, 1,
+                    work.ctypes.data, lwork, rwork.ctypes.data, None))
+
+
+def _schur_scipy(t: np.ndarray) -> tuple[np.ndarray, int]:
+    lapack = scipy.linalg.lapack
+    lwork = lapack.zgeev_lwork(t.shape[0], compute_vl=0, compute_vr=1)[0]
+    t, _, _, _, _, info = lapack.zgees(lambda w: False, t, compute_v=0,
+                                       lwork=max(int(lwork.real), 1),
+                                       overwrite_a=1)
+    return t, info
+
+
+def schur(op) -> SchurForm:
+    """The one dense factorization of a matrix: its complex Schur form.
+
+    LAPACK zgees without Schur vectors, called in the OpenBLAS that numpy
+    bundles with the workspace that np.linalg.eig's zgeev asks for, so
+    diag(T) is eig's eigenvalue array bit for bit.  (zgees balances by
+    permutation only, which keeps T unitarily similar to M; zgeev may
+    also scale, and where it does the two round differently.  Balancing
+    scales none of the acceptance run's matrices.)  Where numpy bundles
+    no OpenBLAS, scipy's zgees runs with the same workspace.
+
+    Raises SolverError on a non-finite entry and when the QR iteration
+    does not converge, as np.linalg.eig does.
+    """
     a = _as_matrix(op)
-    try:
-        # eig with vectors, though the vectors are dropped: eigvals and zgees
-        # round differently, and the calibrated counts are pinned to this
-        # rounding until counts are certified against it
-        w, _ = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"eigensolver did not converge: {exc}") from exc
-    return w
+    if not np.all(np.isfinite(a)):
+        raise SolverError("matrix has non-finite entries")
+    t = np.array(a, order="F")
+    lapacke = _numpy_lapacke()
+    if lapacke is not None:
+        info = _schur_numpy_lapack(t, lapacke)
+    else:
+        t, info = _schur_scipy(t)
+    if info != 0:
+        raise SolverError(f"Schur factorization did not converge (info {info})")
+    t.setflags(write=False)
+    return SchurForm(t, op.grid if isinstance(op, OperatorMatrix) else None)
+
+
+def _as_form(op) -> SchurForm:
+    return op if isinstance(op, SchurForm) else schur(op)
+
+
+def eigenvalues(op) -> np.ndarray:
+    """All eigenvalues of the matrix: the diagonal of its Schur form."""
+    return np.diag(_as_form(op).entries).copy()
 
 
 def count_in_region(eigs: np.ndarray, region: Region) -> int:
@@ -150,31 +269,44 @@ def count_in_region(eigs: np.ndarray, region: Region) -> int:
     return int(np.count_nonzero(region.contains(eigs)))
 
 
-def singular_values(op, z: complex = 0.0) -> np.ndarray:
-    """Singular values of (M - z), ascending."""
+def singular_values(op, z: complex) -> float:
+    """Smallest singular value of M - z.
+
+    From a Schur form, sigma_min(T - z) by inverse iteration (see
+    ``pseudospectrum``); from a plain matrix, by a dense SVD.
+    """
+    if isinstance(op, SchurForm):
+        t = np.array(op.entries, order="F")
+        t[np.diag_indices_from(t)] -= z
+        return _sigma_min_triangular(t, _start_vector(t.shape[0]))
     a = _as_matrix(op)
-    shifted = a - z * np.eye(a.shape[0])
     try:
-        sv = np.linalg.svd(shifted, compute_uv=False)
+        sv = np.linalg.svd(a - z * np.eye(a.shape[0]), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"SVD did not converge: {exc}") from exc
-    return sv[::-1].copy()
+    return float(sv[-1])
 
 
 def log_abs_det(op, z: complex = 0.0) -> float:
-    """ln |det(M - z)| as the sum of pivot log-magnitudes of a pivoted LU."""
-    a = _as_matrix(op)
-    shifted = a - z * np.eye(a.shape[0])
-    with warnings.catch_warnings():
-        # an exactly zero pivot is reported as SingularMatrixError below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, _ = scipy.linalg.lu_factor(shifted, check_finite=False)
-    diag = np.abs(np.diag(lu))
+    """ln |det(M - z)|.
+
+    From a Schur form, the sum of ln|t_ii - z|; from a plain matrix, the sum
+    of pivot log-magnitudes of a pivoted LU.
+    """
+    if isinstance(op, SchurForm):
+        diag = np.abs(np.diag(op.entries) - z)
+    else:
+        a = _as_matrix(op)
+        shifted = a - z * np.eye(a.shape[0])
+        with warnings.catch_warnings():
+            # an exactly zero pivot is reported as SingularMatrixError below
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, _ = scipy.linalg.lu_factor(shifted, check_finite=False)
+        diag = np.abs(np.diag(lu))
     if np.any(diag == 0.0):
-        smallest = float(singular_values(shifted)[0])
         raise SingularMatrixError(
             f"M - z is singular to working precision (smallest singular "
-            f"value {smallest:.3e})"
+            f"value {singular_values(op, z):.3e})"
         )
     return float(np.sum(np.log(diag)))
 
@@ -339,14 +471,16 @@ def pseudospectrum(op, z_grid: Sequence[complex]) -> list[float]:
     """Smallest singular value of M - z per grid point, from one Schur form.
 
     Method (EigTool's; Trefethen, Acta Numerica 1999): M is factored once
-    into the complex Schur form M = Z T Z* (LAPACK zgees).  Singular values
-    are unitarily invariant, so sigma_min(M - z) = sigma_min(T - z) and Z is
-    never formed.  For each z the diagonal of T is shifted in place and
-    sigma_min(T - z) = rho^{-1/2} is found by inverse iteration on
-    B = ((T - z)* (T - z))^{-1}: two triangular solves, O(N^2), per step,
-    from a fixed start vector, so the output is a pure function of the
-    input.  A step stops once ||B x - rho x|| <= PSEUDO_TOL * rho, where
-    rho = x* B x and |x| = 1.
+    into the complex Schur form M = Z T Z* (``schur``; pass the form to
+    reuse it).  Singular values are unitarily invariant, so
+    sigma_min(M - z) = sigma_min(T - z) and Z is never formed.  For each z
+    the diagonal of a copy of T is shifted and sigma_min(T - z) = rho^{-1/2}
+    is found by inverse iteration on B = ((T - z)* (T - z))^{-1}: two
+    triangular solves, O(N^2), per step, from a fixed start vector, so the
+    output is a pure function of the input.  A step stops once
+    ||B x - rho x|| <= PSEUDO_TOL * rho, where rho = x* B x and |x| = 1.
+    The iterates are rescaled by powers of 2, which is exact, so rho-sized
+    values are never squared and a tiny sigma_min needs no SVD.
 
     Accuracy: each value agrees with a dense SVD of M - z to within
     max(1e-10 * sigma_min, N * eps * ||M - z||_2); the second term is the
@@ -358,42 +492,52 @@ def pseudospectrum(op, z_grid: Sequence[complex]) -> list[float]:
       within PSEUDO_STEPS steps (clustered smallest singular values) is
       evaluated by a dense SVD of T - z instead, and is NaN if that SVD
       does not converge;
-    - if the Schur factorization fails (zgees info != 0), every point is NaN.
+    - if the Schur factorization of a plain matrix fails (non-finite
+      entries, or no convergence), every point is NaN.
     """
-    a = _as_matrix(op)
-    n = a.shape[0]
-    # the default (minimal) workspace: the optimal one raised peak memory
-    # by more than it saved in time
-    t, _, _, _, _, info = scipy.linalg.lapack.zgees(
-        lambda w: False, a, compute_v=0)
-    if info != 0:
+    try:
+        form = _as_form(op)
+    except SolverError:
         return [float("nan") for _ in z_grid]
-    eigs = np.diag(t).copy()
-    on_diag = np.diag_indices(n)
+    return [singular_values(form, z) for z in z_grid]
+
+
+@functools.cache
+def _start_vector(n: int) -> np.ndarray:
+    """The fixed unit start vector of the inverse iteration, read-only."""
     rng = np.random.default_rng(0)
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     start /= np.linalg.norm(start)
-    out = []
-    for z in z_grid:
-        t[on_diag] = eigs - z
-        out.append(_sigma_min_triangular(t, start))
-    return out
+    start.setflags(write=False)
+    return start
 
 
 def _sigma_min_triangular(t: np.ndarray, x: np.ndarray) -> float:
-    """sigma_min of the upper-triangular t; see ``pseudospectrum``."""
+    """sigma_min of the upper-triangular t; see ``pseudospectrum``.
+
+    Each step scales y by a power of 2 sy ~ sigma and B x by a further
+    power of 2 sb ~ sigma, so every vector is O(1) where unscaled ones are
+    O(1 / sigma^2) and their squares overflow below sigma ~ 1e-77.  A power
+    of 2 scales exactly, so the value is that of the unscaled iteration
+    wherever that one does not overflow.
+    """
     if np.any(np.diag(t) == 0.0):
         return 0.0
     trsv = scipy.linalg.blas.ztrsv
     for _ in range(PSEUDO_STEPS):
         y = trsv(t, x, trans=2)                  # (T - z)^{-*} x
-        rho = np.vdot(y, y).real                 # x* B x
-        if not np.isfinite(rho):
+        top = float(np.max(np.abs(y)))
+        if not top < math.inf:
             break
-        bx = trsv(t, y, overwrite_x=1)           # B x
-        resid = np.linalg.norm(bx - rho * x)
-        if resid <= PSEUDO_TOL * rho:
-            return float(1.0 / np.sqrt(rho))
+        sy = 2.0 ** -math.frexp(top)[1]
+        y *= sy
+        rho = np.vdot(y, y).real                 # sy^2 x* B x
+        sb = 2.0 ** -math.frexp(rho / sy)[1]
+        bx = trsv(t, y, overwrite_x=1)           # sy B x
+        bx *= sb
+        resid = np.linalg.norm(bx - (rho / sy * sb) * x)
+        if resid <= PSEUDO_TOL * rho / sy * sb:  # both sides times sy sb
+            return float(sy / np.sqrt(rho))
         if not np.isfinite(resid):
             break
         x = bx / np.linalg.norm(bx)

@@ -120,6 +120,22 @@ class TestSpectrum:
         assert pseudo[1] == "re,im,value"
         assert len(pseudo) == 2 + 24 * 12
 
+    @pytest.mark.filterwarnings("error")
+    def test_unperturbed_resolvent_floor_does_not_overflow(self, capsys, tmp_path):
+        # sigma_min of the unperturbed triangle falls to 1e-170 on this grid:
+        # unscaled, the inverse iteration squared 1 / sigma^2 and numpy
+        # warned of an overflow in dot
+        cfg = tmp_path / "spectrum.cfg"
+        cfg.write_text("symbol.model = xi2+exp(ix)\n"
+                       "region.rect = 0.05 0.95 -0.55 0.55\ngrid.h = 0.01\n"
+                       "pseudospec.n_re = 3\npseudospec.n_im = 3\n")
+        code, _, _ = run(capsys, "spectrum", "--config", str(cfg),
+                         "--out", str(tmp_path / "out"))
+        assert code == EXIT_OK
+        rows = (tmp_path / "out" / "pseudospec_0.01.csv").read_text().splitlines()
+        values = [float(r.split(",")[2]) for r in rows[2:]]
+        assert len(values) == 9 and all(0.0 < v < 1e-20 for v in values)
+
 
 class TestWeylEnsemble:
     def test_outputs_and_determinism(self, capsys, tmp_path):
@@ -134,7 +150,12 @@ class TestWeylEnsemble:
         for name in ("report.json", "trials.csv", "params.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         report = json.loads((out_a / "report.json").read_text())
-        assert report["schema"] == "torweyl.report.v1"
+        assert report["schema"] == "torweyl.report.v2"
+        assert "z_probes" not in report["config"]
+        assert "require_symmetry" not in report["config"]
+        # the rounding floor of every trial matrix, the baseline's too
+        records = [report["per_h"][0]["baseline"], *report["per_h"][0]["trials"]]
+        assert all(r["eta"] > 0.0 for r in records)
         assert report["config"]["master_seed"] == 7
         assert report["config"]["n_trials"] == 1
         rows = (out_a / "trials.csv").read_text().splitlines()

@@ -1,18 +1,32 @@
 """Dense linear-algebra layer tests."""
 
+import functools
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from torweyl import spectral
-from torweyl.operators import GridParams, convolution_matrix
+from torweyl.operators import (
+    GridParams,
+    assemble_differential,
+    convolution_matrix,
+    truncation_grid,
+)
+from torweyl.perturbation import (
+    build_perturbed,
+    derive_params,
+    sample_potential,
+    split_seed,
+)
 from torweyl.spectral import (
     BumpFunction,
     DegenerateGapError,
+    SchurForm,
     SingularMatrixError,
     SolverError,
     count_in_region,
@@ -21,11 +35,20 @@ from torweyl.spectral import (
     grushin_solve,
     log_abs_det,
     pseudospectrum,
+    schur,
     single_blas_thread,
     singular_values,
     spectral_functional,
 )
-from torweyl.symbols import Disk, Rectangle, TrigPoly
+from torweyl.symbols import (
+    BoundaryTube,
+    Disk,
+    Rectangle,
+    TrigPoly,
+    catalog_symbol,
+    certified_xi_bound,
+    kappa_floor,
+)
 
 
 def random_complex(rng, n):
@@ -37,6 +60,94 @@ def with_smallest_sv(rng, n, smallest):
     sv = np.geomspace(1.0, 2.0, n)
     sv[0] = smallest
     return u @ np.diag(sv) @ vh
+
+
+def svd_ascending(a, z=0.0):
+    """The full singular spectrum of a - z, ascending: the reference."""
+    return np.linalg.svd(a - z * np.eye(a.shape[0]), compute_uv=False)[::-1]
+
+
+ACCEPTANCE_REGION = Rectangle(0.05, 0.95, -0.55, 0.55)
+
+
+@functools.cache
+def acceptance_matrices(h):
+    """configs/weyl_acceptance.cfg's unperturbed matrix at h and its first
+    two trial matrices."""
+    spec = catalog_symbol("xi2+exp(ix)")
+    # validate_config certifies the xi-slab on the tube of radius 2 tube_r
+    bound = certified_xi_bound(spec, BoundaryTube(ACCEPTANCE_REGION, 0.1))
+    grid = truncation_grid(h, bound)
+    P = assemble_differential(spec, grid)
+    plan = derive_params(n=1, s=2.0, epsilon=0.5, kappa=kappa_floor(spec),
+                         h=h, mode="effective", delta_eff=1e-12,
+                         l_cap=h * grid.K)
+    return (P, *(build_perturbed(P, plan, sample_potential(plan, split_seed(2024, i)))
+                 for i in range(2)))
+
+
+@functools.cache
+def eig_bytes(h):
+    """np.linalg.eig's eigenvalue arrays of acceptance_matrices(h)."""
+    with single_blas_thread():
+        return [np.linalg.eig(m.entries)[0].tobytes() for m in acceptance_matrices(h)]
+
+
+class TestSchur:
+    @pytest.mark.parametrize("path", ["numpy-lapack", "scipy"])
+    @pytest.mark.parametrize("h", [0.05, 0.02, 0.01])
+    def test_diagonal_is_eig_bit_for_bit(self, monkeypatch, path, h):
+        # N = 91, 225 and 447: the last two are past zgehrd's blocking
+        # crossover, where the workspace decides how LAPACK rounds
+        if path == "scipy":
+            monkeypatch.setattr(spectral, "_numpy_lapacke", lambda: None)
+        elif spectral._numpy_lapacke() is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        with single_blas_thread():
+            got = [np.diag(schur(m).entries).tobytes() for m in acceptance_matrices(h)]
+        assert got == eig_bytes(h)
+
+    def test_form_is_upper_triangular_and_unitarily_similar(self):
+        rng = np.random.default_rng(21)
+        a = random_complex(rng, 40)
+        form = schur(a)
+        t = form.entries
+        assert isinstance(form, SchurForm) and form.grid is None
+        assert t.flags.f_contiguous and not t.flags.writeable
+        assert np.all(np.tril(t, -1) == 0.0)
+        sv_a = np.linalg.svd(a, compute_uv=False)
+        assert np.allclose(np.linalg.svd(t, compute_uv=False), sv_a,
+                           rtol=0.0, atol=1e-12 * sv_a[0])
+
+    def test_operator_grid_is_kept(self):
+        P = acceptance_matrices(0.05)[0]
+        assert schur(P).grid == P.grid
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_entry_raises(self, bad):
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eig(m)
+        with pytest.raises(SolverError):
+            schur(m)
+
+    def test_probes_agree_with_svd_and_lu_above_the_floor(self):
+        # the trials' probe gate: sigma_min within eta of the dense SVD
+        # where it is at least 100 eta, ln|det| within 1e-6 of the LU's
+        checked = 0
+        for m in acceptance_matrices(0.05)[1:]:
+            a = m.entries
+            eta = a.shape[0] * np.finfo(float).eps * np.linalg.norm(a)
+            form = schur(m)
+            for z in ACCEPTANCE_REGION.boundary_points(5):
+                ref = singular_values(m, z)
+                if ref >= 100 * eta:
+                    checked += 1
+                    assert abs(singular_values(form, z) - ref) <= eta
+                    assert log_abs_det(form, z) == pytest.approx(
+                        log_abs_det(m, z), rel=1e-6)
+        assert checked > 0
 
 
 class TestEigenvalues:
@@ -84,22 +195,21 @@ class TestSingularValues:
     def test_unitary(self):
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(random_complex(rng, 12))
-        assert np.allclose(singular_values(q), 1.0)
+        assert singular_values(q, 0.0) == pytest.approx(1.0)
 
     def test_diagonal_shift(self):
         d = np.diag([1.0, 3.0, -2.0]).astype(complex)
-        got = singular_values(d, z=0.5)
-        assert np.allclose(got, sorted([0.5, 2.5, 2.5]))
+        assert singular_values(d, z=0.5) == pytest.approx(0.5)
+        assert singular_values(schur(d), z=0.5) == pytest.approx(0.5)
 
     def test_squares_match_hermitian_eigenvalues(self):
         rng = np.random.default_rng(4)
         a = random_complex(rng, 25)
         z = 0.3 - 0.7j
-        t = singular_values(a, z)
         shifted = a - z * np.eye(25)
-        lam = np.linalg.eigvalsh(shifted.conj().T @ shifted)
-        lam[lam < 0] = 0.0
-        assert np.allclose(t**2, lam, rtol=1e-10, atol=1e-12)
+        lam = np.linalg.eigvalsh(shifted.conj().T @ shifted)[0]
+        for op in (a, schur(a)):
+            assert singular_values(op, z) ** 2 == pytest.approx(lam, rel=1e-10, abs=0.0)
 
 
 class TestLogAbsDet:
@@ -114,14 +224,15 @@ class TestLogAbsDet:
         rng = np.random.default_rng(5)
         a = random_complex(rng, 30)
         z = 1.0 + 0.2j
-        lhs = log_abs_det(a, z)
-        rhs = float(np.sum(np.log(singular_values(a, z))))
-        assert lhs == pytest.approx(rhs, rel=1e-8)
+        rhs = float(np.sum(np.log(svd_ascending(a, z))))
+        assert log_abs_det(a, z) == pytest.approx(rhs, rel=1e-8)
+        assert log_abs_det(schur(a), z) == pytest.approx(rhs, rel=1e-8)
 
     def test_singular_matrix_reports(self):
         a = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(SingularMatrixError, match="singular value"):
-            log_abs_det(a)
+        for op in (a, schur(a)):
+            with pytest.raises(SingularMatrixError, match="singular value"):
+                log_abs_det(op)
 
 
 class TestGrushin:
@@ -131,7 +242,7 @@ class TestGrushin:
         assert np.allclose(sol.e_minus_plus, -np.diag([0.001, 0.5]), atol=1e-12)
         assert np.allclose(np.sort(np.linalg.svd(sol.e_minus_plus,
                                                  compute_uv=False)),
-                           singular_values(d)[:2], atol=1e-9)
+                           svd_ascending(d)[:2], atol=1e-9)
 
     def test_hand_solved_two_by_two(self):
         a = np.array([[0.0, 0.0], [0.0, 2.0]], dtype=complex)
@@ -143,7 +254,7 @@ class TestGrushin:
         a = random_complex(rng, 15)
         sol = grushin_solve(a, 0.2 - 0.1j, 4)
         got = np.sort(np.linalg.svd(sol.e_minus_plus, compute_uv=False))
-        assert np.allclose(got, singular_values(a, 0.2 - 0.1j)[:4], atol=1e-9)
+        assert np.allclose(got, svd_ascending(a, 0.2 - 0.1j)[:4], atol=1e-9)
 
     def test_reassembly_residual(self):
         rng = np.random.default_rng(6)
@@ -303,22 +414,62 @@ class TestPseudospectrum:
         t = np.triu(random_complex(np.random.default_rng(15), 6))
         assert pseudospectrum(t, [t[2, 2], t[2, 2] + 0.5])[0] == 0.0
 
+    @staticmethod
+    def assert_nan_everywhere_after_failed_schur():
+        with pytest.raises(SolverError, match="did not converge"):
+            schur(np.eye(4, dtype=complex))
+        got = pseudospectrum(np.eye(4, dtype=complex), [0.0, 2.0, 1j])
+        assert len(got) == 3 and all(math.isnan(v) for v in got)
+
     def test_schur_failure_gives_nan_everywhere(self, monkeypatch):
+        if spectral._numpy_lapacke() is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        geev, gees = spectral._numpy_lapacke()
+
+        def failing(*args):
+            gees(*args)
+            return 1
+
+        monkeypatch.setattr(spectral, "_numpy_lapacke", lambda: (geev, failing))
+        self.assert_nan_everywhere_after_failed_schur()
+
+    def test_fallback_schur_failure_gives_nan_everywhere(self, monkeypatch):
         zgees = scipy.linalg.lapack.zgees
 
         def failing(*args, **kwargs):
             return zgees(*args, **kwargs)[:-1] + (1,)
 
+        monkeypatch.setattr(spectral, "_numpy_lapacke", lambda: None)
         monkeypatch.setattr(scipy.linalg.lapack, "zgees", failing)
-        got = pseudospectrum(np.eye(4, dtype=complex), [0.0, 2.0, 1j])
-        assert len(got) == 3 and all(math.isnan(v) for v in got)
+        self.assert_nan_everywhere_after_failed_schur()
 
     def test_non_finite_matrix_gives_nan(self):
-        # zgees succeeds but leaves NaN in T; the dense fallback then fails
+        # schur refuses the matrix, as np.linalg.eig does
         m = np.eye(4, dtype=complex)
         m[1, 2] = np.inf
         got = pseudospectrum(m, [0.0, 2.0])
         assert len(got) == 2 and all(math.isnan(v) for v in got)
+
+    @pytest.mark.parametrize("tiny", [1e-120, 1e-200])
+    def test_tiny_smallest_singular_value_without_overflow(self, tiny):
+        # unscaled, the iteration squares values of size 1 / tiny^2: numpy
+        # warned of an overflow and the dense SVD took over
+        d = np.diag([tiny, 1.0, 2.0]).astype(complex)
+        d[0, 1] = tiny
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pseudospectrum(d, [0.0, 0.5])
+        # sigma_min = tiny (1 - tiny^2 / 2 + ...)
+        assert got[0] == pytest.approx(tiny, rel=1e-12, abs=0.0)
+        assert_matches_svd(d, [0.5], got[1:])
+
+    def test_a_form_is_reused(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        a = random_complex(rng, 20)
+        form = schur(a)
+        monkeypatch.setattr(spectral, "schur", None)
+        zs = [0.1, 0.2j]
+        assert_matches_svd(a, zs, pseudospectrum(form, zs))
 
     def test_repeat_call_is_bit_identical(self):
         rng = np.random.default_rng(16)

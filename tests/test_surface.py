@@ -36,15 +36,8 @@ SCANNED = (sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 # that the pruned sweep must match, kept in the library beside it
 ALLOWED = {"boundary_cell_measure"}
 
-# leftovers the checks below allow, each with its reason
-ALLOWED_UNSET = {
-    "experiments.ExperimentConfig.z_probes":
-        "serialized into the torweyl.report.v1 config; deleting it changes "
-        "report.json bytes, so it goes with the report.v2 schema bump",
-    "experiments.ExperimentConfig.require_symmetry":
-        "serialized into the torweyl.report.v1 config; deleting it changes "
-        "report.json bytes, so it goes with the report.v2 schema bump",
-}
+# leftovers the checks below allow, each with its reason (none at present)
+ALLOWED_UNSET: dict[str, str] = {}
 
 
 def test_every_public_definition_is_used():
