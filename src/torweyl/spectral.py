@@ -150,7 +150,10 @@ class SchurForm:
 
     ``entries`` is the upper-triangular T, Fortran-ordered (the layout the
     triangular solves read without a copy) and read-only; ``grid`` is the
-    operator's grid, None for a plain array.
+    operator's grid, None for a plain array.  No library code reads
+    ``grid``: the benchmark's per-layer spans (perfbench/layers.py) label
+    each spectral call with ``op.grid.h``, and the form is what
+    ``experiments._measure`` passes to those calls.
     """
 
     entries: np.ndarray
@@ -231,13 +234,16 @@ def schur(op) -> SchurForm:
     diag(T) is eig's eigenvalue array bit for bit.  (zgees balances by
     permutation only, which keeps T unitarily similar to M; zgeev may
     also scale, and where it does the two round differently.  Balancing
-    scales none of the acceptance run's matrices.)  Where numpy bundles
+    scales none of the matrices the shipped configs build.)  Where numpy bundles
     no OpenBLAS, scipy's zgees runs with the same workspace.
 
-    Raises SolverError on a non-finite entry and when the QR iteration
-    does not converge, as np.linalg.eig does.
+    Raises ValueError unless the matrix is square and 2-D, and SolverError
+    on a non-finite entry and when the QR iteration does not converge, as
+    np.linalg.eig does.
     """
     a = _as_matrix(op)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"Schur form of a non-square array of shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise SolverError("matrix has non-finite entries")
     t = np.array(a, order="F")

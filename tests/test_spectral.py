@@ -120,6 +120,7 @@ class TestSchur:
                            rtol=0.0, atol=1e-12 * sv_a[0])
 
     def test_operator_grid_is_kept(self):
+        # perfbench/layers.py reads op.grid.h on the form to tag its spans
         P = acceptance_matrices(0.05)[0]
         assert schur(P).grid == P.grid
 
@@ -131,6 +132,15 @@ class TestSchur:
             np.linalg.eig(m)
         with pytest.raises(SolverError):
             schur(m)
+
+    @pytest.mark.parametrize("path", ["numpy-lapack", "scipy"])
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (4,), (2, 2, 2)])
+    def test_non_square_array_raises(self, monkeypatch, path, shape):
+        # zgees would read and write n * n entries of a 3 x 2 buffer
+        if path == "scipy":
+            monkeypatch.setattr(spectral, "_numpy_lapacke", lambda: None)
+        with pytest.raises(ValueError, match="non-square"):
+            schur(np.ones(shape, dtype=complex))
 
     def test_probes_agree_with_svd_and_lu_above_the_floor(self):
         # the trials' probe gate: sigma_min within eta of the dense SVD
