@@ -65,11 +65,11 @@ from .symbols import (
     ContainmentError,
     DegenerateFitError,
     Disk,
-    PhaseGrid,
     Rectangle,
     TrigPoly,
     catalog_symbol,
     certified_xi_bound,
+    default_grid,
     estimate_kappa,
     kappa_floor,
     volume_preimage,
@@ -281,9 +281,8 @@ DERIVE_PARAMS = {
     "plan.kappa": Key(rational, REQUIRED),
     "plan.h": Key(finite, REQUIRED, flag="h"),
     "plan.tau0": Key(tau0),
-    "plan.mode": Key(str, "derived", flag="mode"),
-    "plan.delta_eff": Key(finite, flag="delta_eff"),
-    "plan.l_cap": Key(finite),
+    "plan.mode": Key(str, "derived"),
+    "plan.delta_eff": Key(finite),
 }
 
 
@@ -320,17 +319,15 @@ def cmd_volume(v: dict, out_dir: Path) -> int:
                           "need 0 < t_lo < t_hi")
     spec = one_of(v, "symbol.model", "symbol.file")
     region = one_of(v, "region.rect", "region.disk")
-    n_x, n_xi = v["grid.n_x"], v["grid.n_xi"]
-    bound = certified_xi_bound(spec, region)
-    grid = config_object(PhaseGrid, n_x=n_x, xi_lo=-bound, xi_hi=bound, n_xi=n_xi)
+    grid = config_object(default_grid, spec, region, v["grid.n_x"], v["grid.n_xi"])
     vol = volume_preimage(spec, region, grid)
     payload = {
         "schema": "torweyl.volume.v1",
         "symbol": serialize.dumps_symbol(spec),
         "region": serialize.dumps_region(region),
-        "xi_bound": bound,
-        "n_x": n_x,
-        "n_xi": n_xi,
+        "xi_bound": grid.xi_hi,
+        "n_x": grid.n_x,
+        "n_xi": grid.n_xi,
         "volume": vol,
     }
     print(f"volume = {vol!r}")
@@ -354,12 +351,9 @@ SPECTRUM = {
     **SYMBOL, **REGION,
     "grid.h": Key(finite, REQUIRED, flag="h"),
     "grid.k_rule": Key(auto_or(int), "auto"),
-    "perturb.mode": Key(str, "effective", flag="mode"),
-    "perturb.delta_eff": Key(finite, 1e-12, flag="delta_eff"),
+    "perturb.mode": Key(str, "effective"),
+    "perturb.delta_eff": Key(finite, 1e-12),
     "perturb.seed": Key(int, flag="seed"),
-    "perturb.s": Key(rational, "2"),
-    "perturb.epsilon": Key(rational, "0.5"),
-    "perturb.kappa": Key(rational),         # absent: the floor 1/(2m)
     "pseudospec.enabled": Key(boolean, True),
     "pseudospec.n_re": Key(at_least(1), 40),
     "pseudospec.n_im": Key(at_least(1), 20),
@@ -373,7 +367,7 @@ def cmd_spectrum(v: dict, out_dir: Path) -> int:
     spec = one_of(v, "symbol.model", "symbol.file")
     region = one_of(v, "region.rect", "region.disk")
     h = v["grid.h"]
-    bound = certified_xi_bound(spec, region)
+    bound = config_object(certified_xi_bound, spec, region)
     grid = config_object(truncation_grid, h, bound, v["grid.k_rule"])
     P = assemble_differential(spec, grid)
     tag = f"{h:g}"
@@ -387,10 +381,8 @@ def cmd_spectrum(v: dict, out_dir: Path) -> int:
     }
     seed = v["perturb.seed"]
     if seed is not None:
-        kappa = v["perturb.kappa"]
         plan = derive_params(
-            n=1, s=v["perturb.s"], epsilon=v["perturb.epsilon"],
-            kappa=kappa_floor(spec) if kappa is None else kappa,
+            n=1, s="2", epsilon="0.5", kappa=kappa_floor(spec),
             h=h, mode=v["perturb.mode"], delta_eff=v["perturb.delta_eff"],
             l_cap=h * grid.K,
         )
@@ -418,14 +410,12 @@ WEYL_ENSEMBLE = {
     "run.trials_n": Key(int, flag="trials", field="n_trials"),
     "run.master_seed": Key(int, flag="seed", field="master_seed"),
     "run.workers_n": Key(int, 1, flag="workers"),
-    "run.real_potentials": Key(boolean, field="real_potentials"),
-    "run.write_eigs": Key(boolean, True),
     "plan.s": Key(finite, field="s"),
     "plan.epsilon": Key(finite, field="epsilon"),
     "plan.kappa": Key(auto_or(lambda raw: float(Fraction(raw))), field="kappa"),
     "plan.tau0": Key(tau0, field="tau0"),
-    "plan.mode": Key(str, flag="mode", field="mode"),
-    "plan.delta_eff": Key(finite, flag="delta_eff", field="delta_eff"),
+    "plan.mode": Key(str, field="mode"),
+    "plan.delta_eff": Key(finite, field="delta_eff"),
     "probes.boundary_n": Key(at_least(0), field="n_probes"),
     "probes.tube_r": Key(finite, field="tube_r"),
     "report.rel_tol": Key(finite, field="rel_tol"),
@@ -433,7 +423,6 @@ WEYL_ENSEMBLE = {
     "grid.k_rule": Key(auto_or(int), field="k_rule"),
     "grid.vol_n_x": Key(int, field="vol_n_x"),
     "grid.vol_n_xi": Key(int, field="vol_n_xi"),
-    "omega.clearance": Key(finite, field="omega_clearance"),
 }
 
 
@@ -450,20 +439,18 @@ def cmd_weyl_ensemble(v: dict, out_dir: Path) -> int:
     _write(out_dir, "report.json", serialize.json_text(rd))
     _write(out_dir, "trials.csv", serialize.trials_csv(rd))
     _write(out_dir, "params.json", serialize.json_text(
-        {"schema": "torweyl.params.v2",
+        {"schema": "torweyl.params.v3",
          "config": rd["config"],
          "plans": [rec["plan"] for rec in rd["per_h"]]}))
-    if v["run.write_eigs"]:
-        for rec in report.per_h:
-            tag = f"{rec.h:g}"
-            if rec.baseline.eigvals is not None:
-                _write(out_dir, f"eigs_{tag}_base.csv",
-                       serialize.eigs_csv(rec.baseline.eigvals))
-            for i, trial in enumerate(rec.trials):
-                if trial.eigvals is not None:
-                    _write(out_dir, f"eigs_{tag}_{i}.csv",
-                           serialize.eigs_csv(trial.eigvals))
     for rec in report.per_h:
+        tag = f"{rec.h:g}"
+        if rec.baseline.eigvals is not None:
+            _write(out_dir, f"eigs_{tag}_base.csv",
+                   serialize.eigs_csv(rec.baseline.eigvals))
+        for i, trial in enumerate(rec.trials):
+            if trial.eigvals is not None:
+                _write(out_dir, f"eigs_{tag}_{i}.csv",
+                       serialize.eigs_csv(trial.eigvals))
         q1, q2, q3 = rec.rel_err_quartiles
         print(f"h = {rec.h:g}: prediction = {rec.prediction:.3f}, "
               f"median relative error = "
@@ -481,7 +468,6 @@ LINE_CHECK = {
     "line.k_max": Key(at_least(0), 5),
     "line.grid_K": Key(int, 96),
     "line.delta": Key(finite, 0.0),
-    "line.q_coeffs": Key(trig_poly),
     "line.seed": Key(int, 0, flag="seed"),
     "line.trials_n": Key(at_least(1), 1),
 }
@@ -509,17 +495,13 @@ def cmd_line_check(v: dict, out_dir: Path) -> int:
     if region is not None:
         payload["region"] = serialize.dumps_region(region)
     if delta:
-        q = v["line.q_coeffs"]
         trials = v["line.trials_n"]
         shifted, counts = [], []
         for i in range(trials):
-            if q is None:
-                rng = seeded_generator(split_seed(v["line.seed"], i))
-                qk = TrigPoly({k: complex(a, b) for k, (a, b) in zip(
-                    range(-2, 3), rng.standard_normal((5, 2)))})
-            else:
-                qk = q
-            gd = g + qk.scaled(delta)
+            rng = seeded_generator(split_seed(v["line.seed"], i))
+            q = TrigPoly({k: complex(a, b) for k, (a, b) in zip(
+                range(-2, 3), rng.standard_normal((5, 2)))})
+            gd = g + q.scaled(delta)
             pert = line_model_check(gd, h, k_max, grid)
             shifted.append(pert.line_im)
             if region is not None:
@@ -647,10 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override h (repeatable for h lists)")
     parser.add_argument("--seed", type=int, help="override the master seed")
     parser.add_argument("--trials", type=int, help="override the trial count")
-    parser.add_argument("--mode", choices=("derived", "effective"),
-                        help="override the perturbation mode")
-    parser.add_argument("--delta-eff", type=finite, dest="delta_eff",
-                        help="override the effective perturbation weight")
     parser.add_argument("--workers", type=int, help="worker threads")
     return parser
 

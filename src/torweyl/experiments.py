@@ -90,10 +90,8 @@ class ExperimentConfig:
     tube_r: float = 0.05
     rel_tol: float = 0.15
     eps_tilde_factor: float = 10.0
-    real_potentials: bool = False
     vol_n_x: int = 512
     vol_n_xi: int = 512
-    omega_clearance: float = 0.05
 
     def resolved_kappa(self) -> float:
         return kappa_floor(self.spec) if self.kappa == "auto" else float(self.kappa)
@@ -126,9 +124,13 @@ def boundary_probes(region: Region, n: int) -> tuple[complex, ...]:
     return tuple(complex(z) for z in base.boundary_points(n))
 
 
+# how far from the sampled symbol range some point of Omega's boundary must
+# lie, and how far no point 2r off the region may lie without a warning
+OMEGA_CLEARANCE = 0.05
+
+
 @dataclass(frozen=True)
 class ValidationInfo:
-    xi_bound: float
     vol_grid: PhaseGrid             # h-independent volume quadrature grid
     warnings: tuple[str, ...]
 
@@ -155,7 +157,9 @@ def validate_config(config: ExperimentConfig) -> ValidationInfo:
         )
     warnings: list[str] = []
     probe = config_object(BoundaryTube, config.region, 2.0 * config.tube_r)
-    xi_bound = certified_xi_bound(config.spec, probe)
+    # called here, not through symbols.default_grid, so that the benchmark's
+    # hook on experiments.certified_xi_bound times it
+    xi_bound = config_object(certified_xi_bound, config.spec, probe)
     grid = config_object(PhaseGrid, n_x=config.vol_n_x, xi_lo=-xi_bound,
                          xi_hi=xi_bound, n_xi=config.vol_n_xi)
 
@@ -170,18 +174,17 @@ def validate_config(config: ExperimentConfig) -> ValidationInfo:
     dist = distance_to_samples(range_samples(config.spec, grid),
                                np.concatenate([omega_mesh, offsets.ravel()]))
     omega_dist, tube_dist = dist[:len(omega_mesh)], dist[len(omega_mesh):]
-    if float(np.max(omega_dist)) <= config.omega_clearance:
+    if float(np.max(omega_dist)) <= OMEGA_CLEARANCE:
         raise InvalidConfigError(
             "Omega appears to be contained in the sampled symbol range; "
             "it must escape the range somewhere"
         )
-    if float(np.max(tube_dist)) > config.omega_clearance:
+    if float(np.max(tube_dist)) > OMEGA_CLEARANCE:
         warnings.append(
             "region is within 2r of the sampled range boundary; the tube "
             "volume term in the count bound may be inflated"
         )
-    return ValidationInfo(xi_bound=xi_bound, vol_grid=grid,
-                          warnings=tuple(warnings))
+    return ValidationInfo(vol_grid=grid, warnings=tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +238,7 @@ def _context_for_h(config: ExperimentConfig, h: float, info: ValidationInfo,
                    volume: float) -> _TrialContext:
     """Everything one h needs; ``volume`` is vol(p^{-1}(region)), which
     does not depend on h."""
-    grid = config_object(truncation_grid, h, info.xi_bound, config.k_rule)
+    grid = config_object(truncation_grid, h, info.vol_grid.xi_hi, config.k_rule)
     P = assemble_differential(config.spec, grid)
     plan = derive_params(
         n=1,
@@ -296,8 +299,7 @@ def _measure(ctx: _TrialContext, matrix: OperatorMatrix,
 def _run_trial_in_context(ctx: _TrialContext, trial_index: int) -> TrialResult:
     seed = split_seed(ctx.config.master_seed, trial_index)
     try:
-        pot = sample_potential(ctx.plan, seed,
-                               real_mode=ctx.config.real_potentials)
+        pot = sample_potential(ctx.plan, seed)
         return _measure(ctx, build_perturbed(ctx.P, ctx.plan, pot), seed)
     except Exception as exc:  # a failed trial is recorded, never dropped
         return TrialResult(
@@ -361,7 +363,7 @@ class WeylReport:
 
     def as_dict(self) -> dict:
         return {
-            "schema": "torweyl.report.v2",
+            "schema": "torweyl.report.v3",
             "config": self.config.as_dict(),
             "per_h": [rec.as_dict() for rec in self.per_h],
             "c_fit": self.c_fit,

@@ -235,14 +235,11 @@ def seeded_generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed % 2**64))
 
 
-def sample_potential(plan: PerturbationPlan, seed: int,
-                     real_mode: bool = False) -> RandomPotential:
-    """Draw alpha uniformly on the radius-R coefficient ball.
+def sample_potential(plan: PerturbationPlan, seed: int) -> RandomPotential:
+    """Draw alpha uniformly on the radius-R coefficient ball of C^D.
 
-    Complex draws fill C^D by the Gaussian-direction times calibrated-radius
-    construction; real mode draws the D real degrees of freedom the same way
-    and pairs them so that alpha_{-k} = conj(alpha_k) and q is real-valued.
-    Identical (plan, seed) inputs reproduce the draw bit for bit.
+    The draw is a Gaussian direction times a calibrated radius.  Identical
+    (plan, seed) inputs reproduce the draw bit for bit.
     """
     if plan.D == 0:
         raise EmptyBasisError("mode cutoff L admits no nonzero frequencies")
@@ -254,22 +251,13 @@ def sample_potential(plan: PerturbationPlan, seed: int,
     k_max = d // 2
     ks = np.concatenate([np.arange(-k_max, 0), np.arange(1, k_max + 1)])
     rng = seeded_generator(seed)
-    if real_mode:
-        g = rng.standard_normal(d)
-        g /= np.linalg.norm(g)
-        radius = plan.R * rng.uniform() ** (1.0 / d)
-        gamma = radius * g
-        pos = (gamma[0::2] + 1j * gamma[1::2]) / math.sqrt(2.0)
-        alpha = np.concatenate([np.conj(pos[::-1]), pos])
-    else:
-        g = rng.standard_normal(2 * d)
-        vec = (g[0::2] + 1j * g[1::2])
-        vec /= np.linalg.norm(vec)
-        radius = plan.R * rng.uniform() ** (1.0 / (2 * d))
-        alpha = radius * vec
+    g = rng.standard_normal(2 * d)
+    vec = (g[0::2] + 1j * g[1::2])
+    vec /= np.linalg.norm(vec)
+    radius = plan.R * rng.uniform() ** (1.0 / (2 * d))
+    alpha = radius * vec
     coeffs = {int(k): a / math.sqrt(TWO_PI) for k, a in zip(ks, alpha)}
-    q = TrigPoly(coeffs, real=real_mode)
-    return RandomPotential(q=q)
+    return RandomPotential(q=TrigPoly(coeffs))
 
 
 def build_perturbed(P: OperatorMatrix, plan: PerturbationPlan,

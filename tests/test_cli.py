@@ -18,6 +18,8 @@ from torweyl.cli import (
     parse_config,
     read_keys,
 )
+from torweyl.serialize import dumps_region, dumps_symbol
+from torweyl.symbols import Disk, SymbolSpec, TrigPoly, catalog_symbol
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -95,6 +97,20 @@ class TestVolume:
         assert payload["kappa_hat"] == pytest.approx(1.0, abs=0.05)
         assert "volume =" in out
 
+    def test_symbol_file_matches_catalog_model(self, capsys, tmp_path):
+        path = tmp_path / "p.sym"
+        path.write_text(dumps_symbol(catalog_symbol("xi+exp(-ix)")))
+        by_file = {k: v for k, v in VOLUME_TINY.items() if k != "symbol.model"}
+        by_file["symbol.file"] = str(path)
+        outputs = []
+        for name, entries in (("model", VOLUME_TINY), ("file", by_file)):
+            code, _, _ = run(capsys, "volume",
+                             "--config", str(write_cfg(tmp_path, entries)),
+                             "--out", str(tmp_path / name))
+            assert code == EXIT_OK
+            outputs.append((tmp_path / name / "volume.json").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_degenerate_kappa_is_numeric_failure(self, capsys, tmp_path):
         cfg = tmp_path / "vol.cfg"
         cfg.write_text(
@@ -150,9 +166,13 @@ class TestWeylEnsemble:
         for name in ("report.json", "trials.csv", "params.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         report = json.loads((out_a / "report.json").read_text())
-        assert report["schema"] == "torweyl.report.v2"
-        assert "z_probes" not in report["config"]
-        assert "require_symmetry" not in report["config"]
+        assert report["schema"] == "torweyl.report.v3"
+        for gone in ("z_probes", "require_symmetry", "real_potentials",
+                     "omega_clearance"):
+            assert gone not in report["config"]
+        params = json.loads((out_a / "params.json").read_text())
+        assert params["schema"] == "torweyl.params.v3"
+        assert params["config"] == report["config"]
         # the rounding floor of every trial matrix, the baseline's too
         records = [report["per_h"][0]["baseline"], *report["per_h"][0]["trials"]]
         assert all(r["eta"] > 0.0 for r in records)
@@ -195,6 +215,19 @@ class TestWeylEnsemble:
         code, _, err = run(capsys, "weyl-ensemble", "--config", str(cfg),
                            "--out", str(tmp_path))
         assert code == EXIT_CONFIG
+
+    def test_omega_disk(self, capsys, tmp_path):
+        # a disk about the region that leaves the strip |Im p| <= 1 the
+        # symbol's range lies in
+        omega = Disk(0.5 + 0.2j, 1.2)
+        entries = {k: v for k, v in WEYL_TINY.items() if k != "omega.rect"}
+        entries["omega.disk"] = "0.5 0.2 1.2"
+        code, _, _ = run(capsys, "weyl-ensemble",
+                         "--config", str(write_cfg(tmp_path, entries)),
+                         "--out", str(tmp_path / "out"))
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["config"]["omega"] == dumps_region(omega)
 
 
 class TestLineCheck:
@@ -266,8 +299,8 @@ def write_cfg(tmp_path, entries: dict) -> Path:
 class TestKeyTables:
     def test_key_counts(self):
         counts = {name: len(table) for name, (_, table) in COMMANDS.items()}
-        assert counts == {"derive-params": 9, "volume": 11, "spectrum": 15,
-                          "weyl-ensemble": 26, "line-check": 10,
+        assert counts == {"derive-params": 8, "volume": 11, "spectrum": 12,
+                          "weyl-ensemble": 23, "line-check": 9,
                           "identity-checks": 5}
 
     def test_every_shipped_config_is_listed(self):
@@ -336,6 +369,35 @@ class TestBadNumbers:
             cfg = write_cfg(tmp_path, entries)
         code, _, err = run(capsys, command, "--config", str(cfg),
                            "--out", str(tmp_path / "out"), *flags)
+        assert code == EXIT_CONFIG
+        assert needle in err
+
+    # p = e^{ix} + (1 + e^{ix}) xi^2, whose top coefficient vanishes at
+    # x = pi; and p = 2 + e^{ix}, of order 0, whose floor |p| >= 1 lies
+    # below the region's |z|, so that no xi-slab holds the preimage
+    @pytest.mark.parametrize("command, entries", [
+        ("volume", VOLUME_TINY),
+        ("spectrum", SPECTRUM_TINY),
+        ("weyl-ensemble", WEYL_TINY),
+    ])
+    @pytest.mark.parametrize("spec, region, needle", [
+        (SymbolSpec(m=2, a=(TrigPoly.wave(1), TrigPoly.zero(),
+                            TrigPoly({0: 1.0 + 0j, 1: 1.0 + 0j}))),
+         None, "elliptic"),
+        (SymbolSpec(m=0, a=(TrigPoly({0: 2.0 + 0j, 1: 1.0 + 0j}),)),
+         "1.5 2.5 -0.4 0.4", "cannot certify"),
+    ], ids=["non-elliptic", "order-0"])
+    def test_symbol_without_a_certified_slab(self, capsys, tmp_path, command,
+                                             entries, spec, region, needle):
+        path = tmp_path / "p.sym"
+        path.write_text(dumps_symbol(spec))
+        entries = {k: v for k, v in entries.items() if k != "symbol.model"}
+        entries["symbol.file"] = str(path)
+        if region is not None:
+            entries["region.rect"] = region
+        code, _, err = run(capsys, command,
+                           "--config", str(write_cfg(tmp_path, entries)),
+                           "--out", str(tmp_path / "out"))
         assert code == EXIT_CONFIG
         assert needle in err
 

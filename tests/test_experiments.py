@@ -183,11 +183,11 @@ class TestRunTrial:
         real_sample = exp.sample_potential
         boom_seed = {}
 
-        def flaky(plan, seed, real_mode=False):
+        def flaky(plan, seed):
             if not boom_seed:
                 boom_seed["seed"] = seed
                 raise RuntimeError("injected draw failure")
-            return real_sample(plan, seed, real_mode=real_mode)
+            return real_sample(plan, seed)
 
         monkeypatch.setattr(exp, "sample_potential", flaky)
         rep = run_ensemble(small_config(n_trials=3))

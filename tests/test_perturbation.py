@@ -117,21 +117,6 @@ class TestSamplePotential:
             assert np.linalg.norm(alpha(pot)) <= plan.R * (1 + 1e-12)
             assert alpha(pot).shape == (plan.D,)
 
-    def test_real_mode_exactly_real(self):
-        plan = self.plan()
-        pot = sample_potential(plan, 3, real_mode=True)
-        x = np.linspace(0, TWO_PI, 1001)
-        assert np.max(np.abs(pot.q(x).imag)) == 0.0
-        assert np.linalg.norm(alpha(pot)) <= plan.R * (1 + 1e-12)
-
-    def test_real_mode_hermitian_convolution(self):
-        from torweyl.operators import convolution_matrix
-
-        plan = self.plan()
-        pot = sample_potential(plan, 11, real_mode=True)
-        conv = convolution_matrix(pot.q, GridParams(h=0.1, K=24))
-        assert np.allclose(conv, conv.conj().T, atol=0.0)
-
     def test_empty_basis(self):
         plan = self.plan(l_cap=0.01)     # L/h < 1, so no admissible modes
         with pytest.raises(EmptyBasisError):

@@ -20,11 +20,18 @@ The last two checks scan the library, ``perfbench/``, ``tools/`` and
   either may also leave them at their defaults.
 - An attribute load reads a field, and so does a ``fields(self)`` loop in
   one of its class's methods.
+
+The command line offers only what something outside ``cli.py`` sets: every
+config key of a ``cli.COMMANDS`` table, and every option of
+``build_parser``, is named in a shipped config, the benchmark, a tool or a
+test.
 """
 
 import ast
 import re
 from pathlib import Path
+
+from torweyl.cli import COMMANDS, build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "torweyl"
@@ -229,3 +236,18 @@ def test_every_field_is_read_and_every_public_method_is_used():
             dead.append(label)
     dead.sort()
     assert not dead, "fields nothing reads, methods nothing uses:\n" + "\n".join(dead)
+
+
+def test_every_cli_key_and_option_is_set_outside_the_cli():
+    texts = [p.read_text() for p in sorted((ROOT / "configs").glob("*.cfg"))
+             + sorted((ROOT / "perfbench").glob("*.py"))
+             + sorted((ROOT / "tools").glob("*.py"))
+             + sorted((ROOT / "tests").glob("*.py"))]
+    names = set().union(*(re.findall(r"[\w.]+", t) for t in texts))
+    options = set().union(*(re.findall(r"--[\w-]+", t) for t in texts))
+    unset = sorted({name for _, table in COMMANDS.values() for name in table}
+                   - names)
+    unset += sorted({opt for action in build_parser()._actions
+                     for opt in action.option_strings
+                     if opt.startswith("--") and opt != "--help"} - options)
+    assert not unset, "CLI keys and options nothing sets:\n" + "\n".join(unset)

@@ -10,10 +10,10 @@ byte-identical gives an empty diff against it:
 
     diff <(PYTHONPATH=src python tools/output_hashes.py) tools/output_hashes.txt
 
-The run takes a few minutes; ``weyl_acceptance.cfg`` dominates.  The
-``weyl_*`` and ``spectrum`` hashes depend on LAPACK's rounding and so on the
-OpenBLAS kernel chosen for the CPU model: they match the reference only on
-the CPU model it was recorded on.
+The run takes about 10 s on a 2-CPU VM; ``weyl_acceptance.cfg``
+dominates.  The ``weyl_*`` and ``spectrum`` hashes depend on LAPACK's
+rounding and so on the OpenBLAS kernel chosen for the CPU model: they match
+the reference only on the CPU model it was recorded on.
 """
 
 from __future__ import annotations
