@@ -244,7 +244,7 @@ def _context_for_h(config: ExperimentConfig, h: float, info: ValidationInfo,
         n=1,
         s=config.s,
         epsilon=config.epsilon,
-        kappa=config.resolved_kappa(),
+        kappa=config_object(config.resolved_kappa),
         h=h,
         tau0=config.tau0,
         mode=config.mode,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .symbols import TWO_PI, SymbolSpec, TrigPoly
 
@@ -27,6 +26,13 @@ class BandwidthError(ValueError):
 MAX_DIM = 4096
 
 
+def admissible_h(h: float) -> None:
+    """Raise ValueError unless h lies in (0, 1], the semiclassical range that
+    every command accepts."""
+    if not 0.0 < h <= 1.0:
+        raise ValueError(f"h must lie in (0, 1], got {h!r}")
+
+
 @dataclass(frozen=True)
 class GridParams:
     """Semiclassical parameter and Fourier truncation; dimension N = 2K + 1."""
@@ -35,8 +41,7 @@ class GridParams:
     K: int
 
     def __post_init__(self):
-        if not (0.0 < self.h <= 1.0):
-            raise ValueError("h must lie in (0, 1]")
+        admissible_h(self.h)
         if self.K < 1:
             raise ValueError("K must be at least 1")
         if self.N > MAX_DIM:
@@ -103,7 +108,10 @@ def convolution_matrix(u: TrigPoly, grid: GridParams, *, label: str = "q") -> np
             col[k] += c
         if k <= 0:
             row[-k] += c
-    return scipy.linalg.toeplitz(col, row)
+    # vals = c_{-(N-1)}..c_{N-1}, so entry (j, k) = vals[N - 1 + j - k]: row j
+    # is the window of vals starting at j, read backwards
+    vals = np.concatenate((row[:0:-1], col))
+    return np.lib.stride_tricks.sliding_window_view(vals, grid.N)[:, ::-1].copy()
 
 
 def assemble_differential(spec: SymbolSpec, grid: GridParams) -> OperatorMatrix:

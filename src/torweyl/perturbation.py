@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .operators import OperatorMatrix, convolution_matrix, sup_norm
+from .operators import OperatorMatrix, admissible_h, convolution_matrix, sup_norm
 from .symbols import TWO_PI, TrigPoly
 
 Rational = Union[int, float, str, Fraction]
@@ -153,8 +153,10 @@ def derive_params(
         )
     if not (0 < kap_f <= 1):
         raise ParameterError(f"need kappa in (0, 1], got {kap_f}")
-    if not (0.0 < h <= 1.0):
-        raise ParameterError("h must lie in (0, 1]")
+    try:
+        admissible_h(h)
+    except ValueError as exc:
+        raise ParameterError(str(exc)) from None
     if tau0 is None:
         tau0 = math.sqrt(h)
     if not (0.0 < tau0 <= math.sqrt(h)):

@@ -14,6 +14,8 @@ import contextlib
 import ctypes
 import functools
 import math
+import os
+import sys
 import threading
 import warnings
 from dataclasses import dataclass
@@ -21,7 +23,6 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .operators import GridParams, OperatorMatrix
 from .symbols import Region
@@ -47,31 +48,36 @@ class DegenerateGapError(ValueError):
 # library file in its ``<package>.libs`` directory, and the suffix of the
 # thread-count entry points
 _OPENBLAS_COPIES = (
-    (np, "libscipy_openblas64_-*.so", "64_"),
-    (scipy, "libscipy_openblas-*.so", ""),
+    ("numpy", "libscipy_openblas64_-*.so", "64_"),
+    ("scipy", "libscipy_openblas-*.so", ""),
 )
 
 
-def _bundled_openblas(package, pattern: str) -> Iterator[ctypes.CDLL]:
-    """Each OpenBLAS library file bundled with the package that opens.
+def _loaded_openblas(package: str, pattern: str) -> Iterator[ctypes.CDLL]:
+    """Each OpenBLAS library file bundled with the package that this process
+    has already loaded.
 
-    Opening a library that is already loaded returns the loaded copy, so
-    its functions act on the BLAS that the package calls.
+    A package that is not imported is not searched, and a library file
+    that is not loaded is not loaded here, so the functions found act on
+    the BLAS that the package calls.
     """
-    libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+    module = sys.modules.get(package)
+    if module is None:
+        return
+    libs = Path(module.__file__).parents[1] / f"{package}.libs"
     for path in sorted(libs.glob(pattern)):
         try:
-            yield ctypes.CDLL(str(path))
+            yield ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
         except OSError:
             continue
 
 
-@functools.cache
 def _openblas_threads() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
-    """(get, set) thread-count functions of each bundled OpenBLAS copy found."""
+    """(get, set) thread-count functions of each bundled OpenBLAS copy that
+    is loaded now."""
     found = []
     for package, pattern, suffix in _OPENBLAS_COPIES:
-        for lib in _bundled_openblas(package, pattern):
+        for lib in _loaded_openblas(package, pattern):
             try:
                 get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
                 put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
@@ -98,6 +104,10 @@ class _BlasPin:
     def enter(self) -> None:
         with self.lock:
             if self.depth == 0:
+                if _numpy_blas() is None:
+                    # the fallback's calls go to scipy's OpenBLAS, which is
+                    # pinned only if it is loaded when the scope opens
+                    import scipy.linalg  # noqa: F401
                 copies = _openblas_threads()
                 self.saved = [(put, get()) for get, put in copies]
                 for _, put in copies:
@@ -120,12 +130,16 @@ _PIN = _BlasPin()
 def single_blas_thread() -> Iterator[None]:
     """Run the enclosed dense linear algebra on one BLAS thread.
 
-    Sets every OpenBLAS copy bundled with numpy and scipy to one thread and
-    restores each copy's previous count on exit, on an exception too.  One
-    thread makes LAPACK's rounding independent of the core count, and lets
-    worker threads each run their own factorization without contending for
-    the cores.  Where no bundled OpenBLAS is found (numpy or scipy built
-    against another BLAS), this does nothing.
+    Sets every OpenBLAS copy bundled with numpy and scipy that is loaded
+    when the outermost scope opens to one thread, and restores each copy's
+    previous count when the outermost scope closes, on an exception too.
+    A copy loaded later, such as scipy's by an import inside the scope, is
+    pinned only from the next outermost scope on; where numpy bundles no
+    OpenBLAS, the scope imports scipy first, so that the fallback's BLAS is
+    pinned.  One thread makes LAPACK's rounding independent of the core
+    count, and lets worker threads each run their own factorization without
+    contending for the cores.  Where no bundled OpenBLAS is found (numpy and
+    scipy built against another BLAS), this does nothing.
     """
     _PIN.enter()
     try:
@@ -171,28 +185,37 @@ _GEEV_ARGS = [ctypes.c_int, ctypes.c_char, ctypes.c_char, _I64, _PTR, _I64,
 #                    ldvs, work, lwork, rwork, bwork)
 _GEES_ARGS = [ctypes.c_int, ctypes.c_char, ctypes.c_char, _PTR, _I64, _PTR,
               _I64, _PTR, _PTR, _PTR, _I64, _PTR, _I64, _PTR, _PTR]
+# cblas_ztrsv(layout, uplo, trans, diag, n, a, lda, x, incx)
+_TRSV_ARGS = [ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int, _I64,
+              _PTR, _I64, _PTR, _I64]
+# its leading arguments for an upper triangle with a non-unit diagonal, by
+# whether the solve is with the adjoint (CblasConjTrans) or not (CblasNoTrans)
+_TRSV_LEAD = {adjoint: tuple(map(ctypes.c_int, (_COL_MAJOR, 121, trans, 131)))
+              for adjoint, trans in ((False, 111), (True, 113))}
 
 
 @functools.cache
-def _numpy_lapacke():
-    """(zgeev_work, zgees_work) of the ILP64 OpenBLAS that numpy bundles, or
-    None where numpy was built against another LAPACK."""
+def _numpy_blas():
+    """(zgeev_work, zgees_work, cblas_ztrsv) of the ILP64 OpenBLAS that numpy
+    bundles, or None where numpy was built against another BLAS; scipy's
+    zgees and ztrsv are then the fallback.  The calls release the GIL."""
     package, pattern, _ = _OPENBLAS_COPIES[0]
-    for lib in _bundled_openblas(package, pattern):
+    for lib in _loaded_openblas(package, pattern):
         try:
-            geev = lib.scipy_LAPACKE_zgeev_work64_
-            gees = lib.scipy_LAPACKE_zgees_work64_
+            fns = (lib.scipy_LAPACKE_zgeev_work64_,
+                   lib.scipy_LAPACKE_zgees_work64_, lib.scipy_cblas_ztrsv64_)
         except AttributeError:
             continue
-        for fn, args in ((geev, _GEEV_ARGS), (gees, _GEES_ARGS)):
-            fn.argtypes, fn.restype = args, _I64
-        return geev, gees
+        for fn, args, res in zip(fns, (_GEEV_ARGS, _GEES_ARGS, _TRSV_ARGS),
+                                 (_I64, _I64, None)):
+            fn.argtypes, fn.restype = args, res
+        return fns
     return None
 
 
-def _schur_numpy_lapack(t: np.ndarray, lapacke) -> int:
+def _schur_numpy_lapack(t: np.ndarray, blas) -> int:
     """Overwrite the Fortran-ordered t with its Schur form; LAPACK's info."""
-    geev, gees = lapacke
+    geev, gees, _ = blas
     n = t.shape[0]
     ld = max(n, 1)
     # np.linalg.eig's workspace: zgeev's answer for right eigenvectors.  The
@@ -218,7 +241,7 @@ def _schur_numpy_lapack(t: np.ndarray, lapacke) -> int:
 
 
 def _schur_scipy(t: np.ndarray) -> tuple[np.ndarray, int]:
-    lapack = scipy.linalg.lapack
+    from scipy.linalg import lapack
     lwork = lapack.zgeev_lwork(t.shape[0], compute_vl=0, compute_vr=1)[0]
     t, _, _, _, _, info = lapack.zgees(lambda w: False, t, compute_v=0,
                                        lwork=max(int(lwork.real), 1),
@@ -247,9 +270,9 @@ def schur(op) -> SchurForm:
     if not np.all(np.isfinite(a)):
         raise SolverError("matrix has non-finite entries")
     t = np.array(a, order="F")
-    lapacke = _numpy_lapacke()
-    if lapacke is not None:
-        info = _schur_numpy_lapack(t, lapacke)
+    blas = _numpy_blas()
+    if blas is not None:
+        info = _schur_numpy_lapack(t, blas)
     else:
         t, info = _schur_scipy(t)
     if info != 0:
@@ -282,9 +305,7 @@ def singular_values(op, z: complex) -> float:
     ``pseudospectrum``); from a plain matrix, by a dense SVD.
     """
     if isinstance(op, SchurForm):
-        t = np.array(op.entries, order="F")
-        t[np.diag_indices_from(t)] -= z
-        return _sigma_min_triangular(t, _start_vector(t.shape[0]))
+        return _sigma_mins(op, [z])[0]
     a = _as_matrix(op)
     try:
         sv = np.linalg.svd(a - z * np.eye(a.shape[0]), compute_uv=False)
@@ -302,6 +323,8 @@ def log_abs_det(op, z: complex = 0.0) -> float:
     if isinstance(op, SchurForm):
         diag = np.abs(np.diag(op.entries) - z)
     else:
+        import scipy.linalg  # the one plain-matrix LU, for identity-checks
+
         a = _as_matrix(op)
         shifted = a - z * np.eye(a.shape[0])
         with warnings.catch_warnings():
@@ -479,14 +502,15 @@ def pseudospectrum(op, z_grid: Sequence[complex]) -> list[float]:
     Method (EigTool's; Trefethen, Acta Numerica 1999): M is factored once
     into the complex Schur form M = Z T Z* (``schur``; pass the form to
     reuse it).  Singular values are unitarily invariant, so
-    sigma_min(M - z) = sigma_min(T - z) and Z is never formed.  For each z
-    the diagonal of a copy of T is shifted and sigma_min(T - z) = rho^{-1/2}
-    is found by inverse iteration on B = ((T - z)* (T - z))^{-1}: two
-    triangular solves, O(N^2), per step, from a fixed start vector, so the
-    output is a pure function of the input.  A step stops once
-    ||B x - rho x|| <= PSEUDO_TOL * rho, where rho = x* B x and |x| = 1.
-    The iterates are rescaled by powers of 2, which is exact, so rho-sized
-    values are never squared and a tiny sigma_min needs no SVD.
+    sigma_min(M - z) = sigma_min(T - z) and Z is never formed.  T is copied
+    once; for each z the copy's diagonal is set to diag(T) - z, and
+    sigma_min(T - z) = rho^{-1/2} is found by inverse iteration on
+    B = ((T - z)* (T - z))^{-1}: two triangular solves, O(N^2), per step,
+    from a fixed start vector, so the output is a pure function of the
+    input.  A step stops once ||B x - rho x|| <= PSEUDO_TOL * rho, where
+    rho = x* B x and |x| = 1.  The iterates are rescaled by powers of 2,
+    which is exact, so rho-sized values are never squared and a tiny
+    sigma_min needs no SVD.
 
     Accuracy: each value agrees with a dense SVD of M - z to within
     max(1e-10 * sigma_min, N * eps * ||M - z||_2); the second term is the
@@ -505,7 +529,22 @@ def pseudospectrum(op, z_grid: Sequence[complex]) -> list[float]:
         form = _as_form(op)
     except SolverError:
         return [float("nan") for _ in z_grid]
-    return [singular_values(form, z) for z in z_grid]
+    return _sigma_mins(form, z_grid)
+
+
+def _sigma_mins(form: SchurForm, z_grid: Sequence[complex]) -> list[float]:
+    """sigma_min(T - z) for each z, on one working copy of T whose diagonal
+    is set to diag(T) - z for each point in turn."""
+    diag = np.diag(form.entries).copy()
+    t = np.array(form.entries, order="F")
+    y = np.empty(len(diag), dtype=complex)
+    solve = _triangular_solver(t, y)
+    start = _start_vector(len(diag))
+    out = []
+    for z in z_grid:
+        np.fill_diagonal(t, diag - z)
+        out.append(_sigma_min_triangular(t, start, y, solve))
+    return out
 
 
 @functools.cache
@@ -518,8 +557,46 @@ def _start_vector(n: int) -> np.ndarray:
     return start
 
 
-def _sigma_min_triangular(t: np.ndarray, x: np.ndarray) -> float:
-    """sigma_min of the upper-triangular t; see ``pseudospectrum``.
+def _triangular_solver(t: np.ndarray, y: np.ndarray) -> Callable[[bool], None]:
+    """solve(adjoint), which overwrites y with t^{-1} y, or with t^{-*} y
+    where adjoint, for the Fortran-ordered upper-triangular complex t.
+
+    ztrsv of numpy's OpenBLAS, which releases the GIL, or scipy's where
+    numpy bundles no OpenBLAS.  Both arrays are checked here, once, because
+    the solves write through their addresses.
+    """
+    n = t.shape[0]
+    if not (t.dtype == complex and t.flags.f_contiguous and t.shape == (n, n)
+            and y.dtype == complex and y.flags.c_contiguous
+            and y.flags.writeable and y.shape == (n,)):
+        raise ValueError("expected a square Fortran-ordered complex t and a "
+                         "writeable contiguous complex vector y of its size")
+    blas = _numpy_blas()
+    if blas is None:
+        from scipy.linalg.blas import ztrsv
+
+        def solve(adjoint: bool) -> None:
+            np.copyto(y, ztrsv(t, y, trans=2 if adjoint else 0, overwrite_x=1))
+
+        return solve
+    trsv = blas[2]
+    # arguments made ctypes objects once: converting nine per call cost
+    # about 1.5 us, 7% of one solve at N = 219; the pointers keep the arrays
+    # alive
+    tail = (_I64(n), t.ctypes.data_as(_PTR), _I64(max(n, 1)),
+            y.ctypes.data_as(_PTR), _I64(1))
+    calls = {adjoint: lead + tail for adjoint, lead in _TRSV_LEAD.items()}
+
+    def solve(adjoint: bool) -> None:
+        trsv(*calls[adjoint])
+
+    return solve
+
+
+def _sigma_min_triangular(t: np.ndarray, x: np.ndarray, y: np.ndarray,
+                          solve: Callable[[bool], None]) -> float:
+    """sigma_min of the upper-triangular t from the start vector x, with
+    ``solve`` from ``_triangular_solver(t, y)``; see ``pseudospectrum``.
 
     Each step scales y by a power of 2 sy ~ sigma and B x by a further
     power of 2 sb ~ sigma, so every vector is O(1) where unscaled ones are
@@ -529,9 +606,9 @@ def _sigma_min_triangular(t: np.ndarray, x: np.ndarray) -> float:
     """
     if np.any(np.diag(t) == 0.0):
         return 0.0
-    trsv = scipy.linalg.blas.ztrsv
     for _ in range(PSEUDO_STEPS):
-        y = trsv(t, x, trans=2)                  # (T - z)^{-*} x
+        y[:] = x
+        solve(adjoint=True)                      # y = (T - z)^{-*} x
         top = float(np.max(np.abs(y)))
         if not top < math.inf:
             break
@@ -539,14 +616,14 @@ def _sigma_min_triangular(t: np.ndarray, x: np.ndarray) -> float:
         y *= sy
         rho = np.vdot(y, y).real                 # sy^2 x* B x
         sb = 2.0 ** -math.frexp(rho / sy)[1]
-        bx = trsv(t, y, overwrite_x=1)           # sy B x
-        bx *= sb
-        resid = np.linalg.norm(bx - (rho / sy * sb) * x)
+        solve(adjoint=False)                     # y = sy B x
+        y *= sb
+        resid = np.linalg.norm(y - (rho / sy * sb) * x)
         if resid <= PSEUDO_TOL * rho / sy * sb:  # both sides times sy sb
             return float(sy / np.sqrt(rho))
         if not np.isfinite(resid):
             break
-        x = bx / np.linalg.norm(bx)
+        x = y / np.linalg.norm(y)
     try:
         return float(np.linalg.svd(t, compute_uv=False)[-1])
     except np.linalg.LinAlgError:

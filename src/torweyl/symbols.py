@@ -514,9 +514,15 @@ def _near_region(spec: SymbolSpec, region: Region,
     yielded values are the full grid's counts.
 
     Each step takes _SWEEP_ROWS rows and yields their kept blocks in
-    row-major order, at most _PIECE blocks per array.  The arrays then stay
-    in cache and the allocator reuses their memory, instead of mapping and
-    faulting in megabytes afresh at every step.
+    row-major order, at most _PIECE blocks per array, so the arrays stay in
+    cache.  They are exactly 128 KiB, glibc's initial mmap threshold, and
+    the allocator reuses their memory only because ``cli.main`` raises that
+    threshold (``cli._reuse_heap``); otherwise each is mapped and faulted in
+    afresh.  Measured on ``phase-volumes`` without that call, other sizes
+    are no cure: 64 KiB arrays (32 rows, 128 blocks) took no faults but
+    0.44-0.64 s per iteration against 0.40-0.49 s, for the longer loop;
+    arrays just under 128 KiB (63 rows, 255 blocks) made glibc trim and
+    regrow the top of the heap, 118k faults and 0.63-0.74 s.
     """
     x, xi = grid.x_nodes(), grid.xi_nodes()
     r = max(abs(grid.xi_lo), abs(grid.xi_hi))
@@ -588,7 +594,14 @@ def boundary_cell_measure(spec: SymbolSpec, region: Region, grid: PhaseGrid) -> 
 
 
 def kappa_floor(spec: SymbolSpec) -> float:
-    """Universal floor 1/(2m) of the sublevel-volume growth exponent kappa."""
+    """Universal floor 1/(2m) of the sublevel-volume growth exponent kappa.
+
+    Raises ValueError for an order-0 symbol, which has no such floor and no
+    Weyl law to test.
+    """
+    if spec.m < 1:
+        raise ValueError("an order-0 symbol has no kappa floor 1/(2m); "
+                         "the Weyl law needs a symbol of order m >= 1")
     return 1.0 / (2.0 * spec.m)
 
 

@@ -296,6 +296,32 @@ def write_cfg(tmp_path, entries: dict) -> Path:
     return path
 
 
+class TestImportPath:
+    def test_commands_run_without_scipy(self, tmp_path):
+        # scipy serves only identity-checks and the fallback for a numpy
+        # without OpenBLAS; importing it costs each process about 0.26 s
+        runs = {"volume": VOLUME_TINY,
+                "spectrum": {**SPECTRUM_TINY, "perturb.seed": "1"},
+                "weyl-ensemble": WEYL_TINY}
+        argvs = []
+        for command, entries in runs.items():
+            cfg = tmp_path / f"{command}.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+            argvs.append([command, "--config", str(cfg),
+                          "--out", str(tmp_path / command)])
+        script = ("import json, sys\n"
+                  "import torweyl.cli\n"
+                  f"codes = [torweyl.cli.main(argv) for argv in {argvs!r}]\n"
+                  "print(json.dumps([codes, 'scipy' in sys.modules]))\n")
+        done = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        codes, scipy_loaded = json.loads(done.stdout.splitlines()[-1])
+        assert codes == [EXIT_OK] * 3
+        assert not scipy_loaded
+
+
 class TestKeyTables:
     def test_key_counts(self):
         counts = {name: len(table) for name, (_, table) in COMMANDS.items()}
@@ -400,6 +426,25 @@ class TestBadNumbers:
                            "--out", str(tmp_path / "out"))
         assert code == EXIT_CONFIG
         assert needle in err
+
+    # p = 2 + e^{ix}, of order 0, whose range |p - 2| = 1 misses the region,
+    # so that its xi-slab is certified, but which has no kappa floor 1/(2m)
+    @pytest.mark.parametrize("command, entries", [
+        ("spectrum", {**SPECTRUM_TINY, "perturb.seed": "1"}),
+        ("weyl-ensemble", WEYL_TINY),
+    ])
+    def test_order_0_symbol_has_no_kappa_floor(self, capsys, tmp_path, command,
+                                               entries):
+        path = tmp_path / "p.sym"
+        path.write_text(dumps_symbol(
+            SymbolSpec(m=0, a=(TrigPoly({0: 2.0 + 0j, 1: 1.0 + 0j}),))))
+        entries = {k: v for k, v in entries.items() if k != "symbol.model"}
+        entries["symbol.file"] = str(path)
+        code, _, err = run(capsys, command,
+                           "--config", str(write_cfg(tmp_path, entries)),
+                           "--out", str(tmp_path / "out"))
+        assert code == EXIT_CONFIG
+        assert "order-0 symbol has no kappa floor" in err
 
     # each command that builds a Fourier grid, with its K key set to 2048
     @pytest.mark.parametrize("command, entries", [

@@ -1,10 +1,14 @@
 """Dense linear-algebra layer tests."""
 
 import functools
+import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,16 +97,22 @@ def eig_bytes(h):
         return [np.linalg.eig(m.entries)[0].tobytes() for m in acceptance_matrices(h)]
 
 
+def use_path(monkeypatch, path):
+    """Send spectral's LAPACK and BLAS calls to numpy's bundled OpenBLAS
+    ("numpy-lapack") or to scipy's fallback ("scipy")."""
+    if path == "scipy":
+        monkeypatch.setattr(spectral, "_numpy_blas", lambda: None)
+    elif spectral._numpy_blas() is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+
+
 class TestSchur:
     @pytest.mark.parametrize("path", ["numpy-lapack", "scipy"])
     @pytest.mark.parametrize("h", [0.05, 0.02, 0.01])
     def test_diagonal_is_eig_bit_for_bit(self, monkeypatch, path, h):
         # N = 91, 225 and 447: the last two are past zgehrd's blocking
         # crossover, where the workspace decides how LAPACK rounds
-        if path == "scipy":
-            monkeypatch.setattr(spectral, "_numpy_lapacke", lambda: None)
-        elif spectral._numpy_lapacke() is None:
-            pytest.skip("numpy bundles no OpenBLAS")
+        use_path(monkeypatch, path)
         with single_blas_thread():
             got = [np.diag(schur(m).entries).tobytes() for m in acceptance_matrices(h)]
         assert got == eig_bytes(h)
@@ -138,7 +148,7 @@ class TestSchur:
     def test_non_square_array_raises(self, monkeypatch, path, shape):
         # zgees would read and write n * n entries of a 3 x 2 buffer
         if path == "scipy":
-            monkeypatch.setattr(spectral, "_numpy_lapacke", lambda: None)
+            monkeypatch.setattr(spectral, "_numpy_blas", lambda: None)
         with pytest.raises(ValueError, match="non-square"):
             schur(np.ones(shape, dtype=complex))
 
@@ -158,6 +168,32 @@ class TestSchur:
                     assert log_abs_det(form, z) == pytest.approx(
                         log_abs_det(m, z), rel=1e-6)
         assert checked > 0
+
+    @pytest.mark.parametrize("path", ["numpy-lapack", "scipy"])
+    def test_sigma_min_matches_svd(self, monkeypatch, path):
+        use_path(monkeypatch, path)
+        rng = np.random.default_rng(22)
+        a = random_complex(rng, 40)
+        form = schur(a)
+        zs = [complex(x, y) for x in (-3.0, 0.0, 2.5) for y in (-1.0, 0.5)]
+        assert_matches_svd(a, zs, pseudospectrum(form, zs))
+        assert_matches_svd(a, zs, [singular_values(form, z) for z in zs])
+
+    def test_sigma_min_bits_are_the_same_on_both_paths(self, monkeypatch):
+        # N = 447: each path runs OpenBLAS's ztrsv kernel, in numpy's and in
+        # scipy's wheel
+        use_path(monkeypatch, "numpy-lapack")
+        form = schur(acceptance_matrices(0.01)[1])
+        zs = [*ACCEPTANCE_REGION.boundary_points(5), 0.5, 0.5 + 0.3j]
+
+        def sigma_bits():
+            with single_blas_thread():
+                return (np.array([singular_values(form, z) for z in zs]).tobytes(),
+                        np.array(pseudospectrum(form, zs)).tobytes())
+
+        numpy_bits = sigma_bits()
+        use_path(monkeypatch, "scipy")
+        assert sigma_bits() == numpy_bits
 
 
 class TestEigenvalues:
@@ -432,15 +468,15 @@ class TestPseudospectrum:
         assert len(got) == 3 and all(math.isnan(v) for v in got)
 
     def test_schur_failure_gives_nan_everywhere(self, monkeypatch):
-        if spectral._numpy_lapacke() is None:
+        if spectral._numpy_blas() is None:
             pytest.skip("numpy bundles no OpenBLAS")
-        geev, gees = spectral._numpy_lapacke()
+        geev, gees, trsv = spectral._numpy_blas()
 
         def failing(*args):
             gees(*args)
             return 1
 
-        monkeypatch.setattr(spectral, "_numpy_lapacke", lambda: (geev, failing))
+        monkeypatch.setattr(spectral, "_numpy_blas", lambda: (geev, failing, trsv))
         self.assert_nan_everywhere_after_failed_schur()
 
     def test_fallback_schur_failure_gives_nan_everywhere(self, monkeypatch):
@@ -449,7 +485,7 @@ class TestPseudospectrum:
         def failing(*args, **kwargs):
             return zgees(*args, **kwargs)[:-1] + (1,)
 
-        monkeypatch.setattr(spectral, "_numpy_lapacke", lambda: None)
+        monkeypatch.setattr(spectral, "_numpy_blas", lambda: None)
         monkeypatch.setattr(scipy.linalg.lapack, "zgees", failing)
         self.assert_nan_everywhere_after_failed_schur()
 
@@ -554,3 +590,50 @@ class TestSingleBlasThread:
         assert not any(w.is_alive() for w in workers)
         assert wrong == []
         assert self.threads(copies) == [2] * len(copies)
+
+    @staticmethod
+    def run_fresh(script: str):
+        """The JSON that a script prints in a fresh interpreter, in which
+        only numpy's OpenBLAS copy is loaded at the start."""
+        if len(spectral._openblas_threads()) < 2:
+            pytest.skip("numpy and scipy do not both bundle OpenBLAS")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=str(Path(spectral.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    def test_copy_loaded_after_a_scope_is_pinned_by_the_next(self):
+        default, first, second, after = self.run_fresh(
+            "import json\n"
+            "from torweyl import spectral\n"
+            "def threads():\n"
+            "    return [get() for get, _ in spectral._openblas_threads()]\n"
+            "default = threads()\n"
+            "with spectral.single_blas_thread():\n"
+            "    first = threads()\n"
+            "import scipy.linalg\n"
+            "with spectral.single_blas_thread():\n"
+            "    second = threads()\n"
+            "print(json.dumps([default, first, second, threads()]))\n")
+        assert first == [1]
+        assert second == [1, 1]
+        assert after == default * 2
+
+    def test_fallback_loads_scipy_before_pinning(self):
+        # the scipy fallback's BLAS must be loaded when the scope opens, or
+        # its factorizations would run on every core
+        default, before, inside, after = self.run_fresh(
+            "import json, sys\n"
+            "from torweyl import spectral\n"
+            "def threads():\n"
+            "    return [get() for get, _ in spectral._openblas_threads()]\n"
+            "spectral._numpy_blas = lambda: None\n"
+            "default, before = threads(), 'scipy' in sys.modules\n"
+            "with spectral.single_blas_thread():\n"
+            "    inside = threads()\n"
+            "print(json.dumps([default, before, inside, threads()]))\n")
+        assert not before
+        assert inside == [1, 1]
+        assert after == default * 2
