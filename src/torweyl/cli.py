@@ -460,11 +460,9 @@ def cmd_weyl_ensemble(v: dict, out_dir: Path) -> int:
                        serialize.eigs_csv(trial.eigvals))
         q1, q2, q3 = rec.rel_err_quartiles
         print(f"h = {rec.h:g}: prediction = {rec.prediction:.3f}, "
-              f"median relative error = "
-              f"{q2 if math.isfinite(q2) else float('nan'):.3f} "
+              f"median relative error = {q2:.3f} "
               f"(IQR {q1:.3f}..{q3:.3f}), "
               f"success@rel_tol = {rec.success_fraction_rel:.2f}")
-    print(f"fitted count-bound constant C = {report.c_fit!r}")
     return EXIT_OK
 
 

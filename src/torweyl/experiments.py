@@ -181,8 +181,8 @@ def validate_config(config: ExperimentConfig) -> ValidationInfo:
         )
     if float(np.max(tube_dist)) > OMEGA_CLEARANCE:
         warnings.append(
-            "region is within 2r of the sampled range boundary; the tube "
-            "volume term in the count bound may be inflated"
+            "region is within 2r of the sampled range boundary: a point of "
+            "its 2r boundary tube lies off the sampled range"
         )
     return ValidationInfo(vol_grid=grid, warnings=tuple(warnings))
 
@@ -200,7 +200,6 @@ def weyl_prediction(volume: float, h: float) -> float:
 class TrialResult:
     seed: int | None
     count: int
-    prediction: float
     relative_error: float
     sigma_min_probes: tuple[float, ...]
     logdet_probes: tuple[float | None, ...]
@@ -214,7 +213,6 @@ class TrialResult:
         return {
             "seed": self.seed,
             "count": self.count,
-            "prediction": self.prediction,
             "relative_error": rel,
             "sigma_min_probes": list(self.sigma_min_probes),
             "logdet_probes": list(self.logdet_probes),
@@ -287,7 +285,6 @@ def _measure(ctx: _TrialContext, matrix: OperatorMatrix,
     return TrialResult(
         seed=seed,
         count=count,
-        prediction=ctx.prediction,
         relative_error=_relative_error(count, ctx.prediction),
         sigma_min_probes=tuple(sig),
         logdet_probes=tuple(logd),
@@ -303,8 +300,8 @@ def _run_trial_in_context(ctx: _TrialContext, trial_index: int) -> TrialResult:
         return _measure(ctx, build_perturbed(ctx.P, ctx.plan, pot), seed)
     except Exception as exc:  # a failed trial is recorded, never dropped
         return TrialResult(
-            seed=seed, count=-1, prediction=ctx.prediction,
-            relative_error=math.nan, sigma_min_probes=(), logdet_probes=(),
+            seed=seed, count=-1, relative_error=math.nan,
+            sigma_min_probes=(), logdet_probes=(),
             error=f"{type(exc).__name__}: {exc}",
         )
 
@@ -327,12 +324,10 @@ class HRecord:
     plan: PerturbationPlan
     baseline: TrialResult
     trials: tuple[TrialResult, ...]
-    eps0: float
     eps_tilde: float
     tube_volume: float
     rel_err_quartiles: tuple[float, float, float]
     success_fraction_rel: float
-    success_fraction_bound: float | None
 
     def as_dict(self) -> dict:
         return {
@@ -343,14 +338,12 @@ class HRecord:
             "plan": self.plan.as_dict(),
             "baseline": self.baseline.as_dict(),
             "trials": [t.as_dict() for t in self.trials],
-            "eps0": self.eps0,
             "eps_tilde": self.eps_tilde,
             "tube_volume": self.tube_volume,
             "rel_err_quartiles": [
                 q if math.isfinite(q) else None for q in self.rel_err_quartiles
             ],
             "success_fraction_rel": self.success_fraction_rel,
-            "success_fraction_bound": self.success_fraction_bound,
         }
 
 
@@ -358,15 +351,13 @@ class HRecord:
 class WeylReport:
     config: ExperimentConfig
     per_h: tuple[HRecord, ...]
-    c_fit: float
     validation_warnings: tuple[str, ...]
 
     def as_dict(self) -> dict:
         return {
-            "schema": "torweyl.report.v3",
+            "schema": "torweyl.report.v4",
             "config": self.config.as_dict(),
             "per_h": [rec.as_dict() for rec in self.per_h],
-            "c_fit": self.c_fit,
             "validation_warnings": list(self.validation_warnings),
         }
 
@@ -377,24 +368,6 @@ def _quartiles(values: Sequence[float]) -> tuple[float, float, float]:
         return (math.nan, math.nan, math.nan)
     q1, q2, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
     return (float(q1), float(q2), float(q3))
-
-
-def _bound_rhs(c: float, h: float, eps_tilde: float, r: float,
-               tube_volume: float) -> float:
-    """Count-error budget (C/h) (eps_tilde/r + C (r + ln(1/r) tube_volume))."""
-    return (c / h) * (eps_tilde / r + c * (r + math.log(1.0 / r) * tube_volume))
-
-
-def _fit_constant(worst: float, h: float, eps_tilde: float, r: float,
-                  tube_volume: float) -> float:
-    """Smallest C >= 0 with worst <= (C/h)(eps_tilde/r + C(...))."""
-    if worst <= 0.0:
-        return 0.0
-    g1 = eps_tilde / (r * h)
-    g2 = (r + math.log(1.0 / r) * tube_volume) / h
-    if g2 <= 0.0:
-        return worst / g1
-    return (-g1 + math.sqrt(g1 * g1 + 4.0 * g2 * worst)) / (2.0 * g2)
 
 
 def run_ensemble(config: ExperimentConfig, workers: int = 1) -> WeylReport:
@@ -419,7 +392,7 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> WeylReport:
         config.spec, BoundaryTube(config.region, config.tube_r), info.vol_grid)
     # every h is set up before any trial runs, so a bad h fails fast
     contexts = [_context_for_h(config, h, info, volume) for h in config.h_list]
-    raw: list[tuple[_TrialContext, TrialResult, list[TrialResult]]] = []
+    records: list[HRecord] = []
     # worker threads each drive a single-threaded BLAS, rather than all of
     # them sharing the cores with BLAS threads of their own
     with single_blas_thread():
@@ -434,52 +407,24 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> WeylReport:
                         lambda i: _run_trial_in_context(ctx, i), indices))
             else:
                 trials = [_run_trial_in_context(ctx, i) for i in indices]
-            raw.append((ctx, baseline, trials))
-
-    # the constant is fit at the largest h and reported, never assumed
-    h_max = max(config.h_list)
-    c_fit = 0.0
-    for ctx, baseline, trials in raw:
-        if ctx.h == h_max:
-            worst = max(
-                (abs(t.count - ctx.prediction) for t in trials if t.error is None),
-                default=0.0,
-            )
-            eps_tilde = config.eps_tilde_factor * ctx.plan.eps0
-            c_fit = _fit_constant(worst, ctx.h, eps_tilde, config.tube_r,
-                                  tube_volume)
-    records: list[HRecord] = []
-    for ctx, baseline, trials in raw:
-        eps_tilde = config.eps_tilde_factor * ctx.plan.eps0
-        tau_tol = (_bound_rhs(c_fit, ctx.h, eps_tilde, config.tube_r,
-                              tube_volume) if c_fit > 0.0 else None)
-        ok = [t for t in trials if t.error is None]
-        frac_rel = (sum(1 for t in ok if t.relative_error <= config.rel_tol)
-                    / len(ok)) if ok else 0.0
-        frac_bound = None
-        if tau_tol is not None and ok:
-            frac_bound = sum(
-                1 for t in ok if abs(t.count - ctx.prediction) <= tau_tol
-            ) / len(ok)
-        records.append(HRecord(
-            h=ctx.h,
-            K=ctx.grid.K,
-            matrix_dim=ctx.grid.N,
-            prediction=ctx.prediction,
-            plan=ctx.plan,
-            baseline=baseline,
-            trials=tuple(trials),
-            eps0=ctx.plan.eps0,
-            eps_tilde=eps_tilde,
-            tube_volume=tube_volume,
-            rel_err_quartiles=_quartiles([t.relative_error for t in ok]),
-            success_fraction_rel=frac_rel,
-            success_fraction_bound=frac_bound,
-        ))
+            ok = [t for t in trials if t.error is None]
+            hits = sum(1 for t in ok if t.relative_error <= config.rel_tol)
+            records.append(HRecord(
+                h=ctx.h,
+                K=ctx.grid.K,
+                matrix_dim=ctx.grid.N,
+                prediction=ctx.prediction,
+                plan=ctx.plan,
+                baseline=baseline,
+                trials=tuple(trials),
+                eps_tilde=config.eps_tilde_factor * ctx.plan.eps0,
+                tube_volume=tube_volume,
+                rel_err_quartiles=_quartiles([t.relative_error for t in ok]),
+                success_fraction_rel=hits / len(ok) if ok else 0.0,
+            ))
     return WeylReport(
         config=config,
         per_h=tuple(records),
-        c_fit=c_fit,
         validation_warnings=info.warnings,
     )
 

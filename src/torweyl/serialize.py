@@ -167,7 +167,7 @@ def trials_csv(report_dict: dict) -> str:
         ]:
             rows.append((
                 rec["h"], label, trial["seed"], trial["count"],
-                trial["prediction"], trial["relative_error"],
+                rec["prediction"], trial["relative_error"],
                 trial["error"] or "",
             ))
     return csv_text(

@@ -158,18 +158,26 @@ class TestWeylEnsemble:
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         for out_dir in (out_a, out_b):
-            code, _, _ = run(capsys, "weyl-ensemble",
-                             "--config", str(CONFIGS / "weyl_small.cfg"),
-                             "--out", str(out_dir),
-                             "--trials", "1", "--seed", "7")
+            code, stdout, _ = run(capsys, "weyl-ensemble",
+                                  "--config", str(CONFIGS / "weyl_small.cfg"),
+                                  "--out", str(out_dir),
+                                  "--trials", "1", "--seed", "7")
             assert code == EXIT_OK
+            # no count-error bound is fitted or printed
+            assert "count-bound" not in stdout
         for name in ("report.json", "trials.csv", "params.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         report = json.loads((out_a / "report.json").read_text())
-        assert report["schema"] == "torweyl.report.v3"
+        assert report["schema"] == "torweyl.report.v4"
         for gone in ("z_probes", "require_symmetry", "real_potentials",
                      "omega_clearance"):
             assert gone not in report["config"]
+        # the fitted bound is gone, and no value is stated twice
+        assert "c_fit" not in report
+        for rec in report["per_h"]:
+            assert "success_fraction_bound" not in rec and "eps0" not in rec
+            for trial in [rec["baseline"], *rec["trials"]]:
+                assert "prediction" not in trial
         params = json.loads((out_a / "params.json").read_text())
         assert params["schema"] == "torweyl.params.v3"
         assert params["config"] == report["config"]

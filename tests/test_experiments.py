@@ -224,9 +224,9 @@ class TestRunEnsemble:
     def test_ingredients_present(self):
         rep = run_ensemble(small_config(n_trials=2))
         rec = rep.per_h[0]
-        assert rec.eps0 > 0 and rec.eps_tilde == pytest.approx(10.0 * rec.eps0)
+        assert rec.plan.eps0 > 0
+        assert rec.eps_tilde == pytest.approx(10.0 * rec.plan.eps0)
         assert rec.tube_volume > 0
-        assert rep.c_fit >= 0.0
 
     def test_trials_csv_layout(self):
         from torweyl.serialize import trials_csv
@@ -239,6 +239,10 @@ class TestRunEnsemble:
         # baseline row plus one row per trial, for each h
         assert len(lines) == 2 + len(rep.per_h) * (1 + 2)
         assert lines[2].split(",")[1] == "baseline"
+        # each row's prediction is its h record's
+        preds = {rec.h: rec.prediction for rec in rep.per_h}
+        rows = [line.split(",") for line in lines[2:]]
+        assert all(float(row[4]) == preds[float(row[0])] for row in rows)
 
 
 class TestLineModel:
