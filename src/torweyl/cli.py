@@ -652,19 +652,23 @@ def _reuse_heap() -> None:
     faults its pages in again.  The threshold rises by itself only after a
     larger mapped block is freed, which importing scipy used to do by
     accident.  Measured per iteration of the benchmark workloads (minor
-    page faults, in-process loop of ``main`` calls, 2-CPU x86-64 VM with
-    glibc 2.36):
+    page faults, in-process loop of ``main`` calls after one warm-up call,
+    2-CPU x86-64 VM with glibc 2.36), with these settings ``phase-volumes``
+    took 2-8 faults and 0.26-0.34 s, and ``weyl-acceptance`` 0-16 faults
+    (384-415 in one or two early iterations, while the heap grew) and
+    0.42-0.57 s.  Otherwise:
 
-    - left alone, ``phase-volumes`` took 101k faults and 0.61-0.69 s, against
-      1-6 faults and 0.41-0.45 s with these settings: the pruned volume
-      sweep allocates arrays of exactly 128 KiB (symbols._SWEEP_ROWS, _PIECE);
+    - left alone, ``phase-volumes`` took 50.7k faults and 0.39-0.45 s: the
+      pruned volume sweep yields arrays of exactly 128 KiB
+      (symbols._PIECE blocks of 32 nodes), each mapped afresh;
+      ``weyl-acceptance`` took 3.6k-5.9k;
     - an explicit threshold stops the rise, so a small one is worse: at
       1 MiB the N = 447 trial matrices (3.2 MB) were mapped afresh each time,
-      and ``weyl-acceptance`` took 18.0k faults against 5-8;
+      and ``weyl-acceptance`` took 18.0k faults;
     - an explicit threshold also stops the trim threshold from following at
       twice its value, and left at 128 KiB it returns the top of the heap to
-      the system at every step: 109k faults on ``phase-volumes`` and 17.9k
-      on ``weyl-acceptance``.
+      the system at every step: 18.3k faults on ``phase-volumes`` and
+      17.2k-17.9k on ``weyl-acceptance``.
 
     32 MiB is glibc's own ceiling for the rising threshold, and 64 MiB twice
     that.  Other C libraries are left as they are.

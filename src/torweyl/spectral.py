@@ -249,6 +249,39 @@ def _schur_scipy(t: np.ndarray) -> tuple[np.ndarray, int]:
     return t, info
 
 
+# zgees scales a matrix whose largest |entry| lies outside
+# [sqrt(safmin)/eps, eps/sqrt(safmin)] = [2^-459, 2^459], with LAPACK's
+# safmin = 2^-1022 and precision eps = 2^-52
+_UNSCALED = (math.sqrt(np.finfo(float).tiny) / np.finfo(float).eps,
+             np.finfo(float).eps / math.sqrt(np.finfo(float).tiny))
+
+
+def _triangular_schur(a: np.ndarray) -> np.ndarray | None:
+    """zgees' T for a triangular matrix that it leaves unscaled, without
+    calling it; None for any other matrix.
+
+    zgees balances by permutation first, and zgebal isolates the
+    eigenvalues of a triangular matrix one row per pass, in O(N^3)
+    comparisons; no QR step follows.  In an upper-triangular matrix the
+    last active row is always the one isolated, so nothing moves and T is
+    the matrix.  In a lower-triangular one with no zero on its subdiagonal,
+    row j is the only row that can be isolated at pass j, and it goes to
+    position N + 1 - j, so T is the matrix reversed along both axes (the
+    unperturbed ``xi2+exp(ix)`` matrix is lower bidiagonal).  A zero on
+    the subdiagonal allows other orders, so LAPACK decides.  The checks
+    read the matrix row by row and make no N x N temporary.
+    """
+    n = a.shape[0]
+    upper = all(not a[j, :j].any() for j in range(1, n))
+    lower = (not upper and all(not a[j, j + 1:].any() for j in range(n - 1))
+             and bool(np.all(np.diagonal(a, -1))))
+    if not (upper or lower):
+        return None
+    if not _UNSCALED[0] <= max(float(np.abs(row).max()) for row in a) <= _UNSCALED[1]:
+        return None
+    return np.array(a if upper else a[::-1, ::-1], order="F")
+
+
 def schur(op) -> SchurForm:
     """The one dense factorization of a matrix: its complex Schur form.
 
@@ -258,7 +291,9 @@ def schur(op) -> SchurForm:
     permutation only, which keeps T unitarily similar to M; zgeev may
     also scale, and where it does the two round differently.  Balancing
     scales none of the matrices the shipped configs build.)  Where numpy bundles
-    no OpenBLAS, scipy's zgees runs with the same workspace.
+    no OpenBLAS, scipy's zgees runs with the same workspace.  A triangular
+    matrix whose T zgees would only permute gets that T without LAPACK
+    (``_triangular_schur``).
 
     Raises ValueError unless the matrix is square and 2-D, and SolverError
     on a non-finite entry and when the QR iteration does not converge, as
@@ -269,14 +304,16 @@ def schur(op) -> SchurForm:
         raise ValueError(f"Schur form of a non-square array of shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise SolverError("matrix has non-finite entries")
-    t = np.array(a, order="F")
-    blas = _numpy_blas()
-    if blas is not None:
-        info = _schur_numpy_lapack(t, blas)
-    else:
-        t, info = _schur_scipy(t)
-    if info != 0:
-        raise SolverError(f"Schur factorization did not converge (info {info})")
+    t = _triangular_schur(a)
+    if t is None:
+        t = np.array(a, order="F")
+        blas = _numpy_blas()
+        if blas is not None:
+            info = _schur_numpy_lapack(t, blas)
+        else:
+            t, info = _schur_scipy(t)
+        if info != 0:
+            raise SolverError(f"Schur factorization did not converge (info {info})")
     t.setflags(write=False)
     return SchurForm(t, op.grid if isinstance(op, OperatorMatrix) else None)
 

@@ -80,6 +80,10 @@ class TrigPoly:
         """Rigorous sup-norm bound: the l1 mass of the coefficients."""
         return float(sum(abs(c) for c in self.coeffs.values()))
 
+    def derivative_bound(self) -> float:
+        """Rigorous sup-norm bound on u': sum_k |k| |c_k|."""
+        return float(sum(abs(k) * abs(c) for k, c in self.items()))
+
     def __call__(self, x):
         """Evaluate at x (scalar or ndarray).
 
@@ -216,7 +220,7 @@ def check_ellipticity(spec: SymbolSpec) -> tuple[bool, float]:
     top = spec.top
     x = np.arange(n) * (TWO_PI / n)
     vals = np.abs(top(x))
-    lipschitz = sum(abs(k) * abs(c) for k, c in top.items())
+    lipschitz = top.derivative_bound()
     rest = sum(abs(c) for k, c in top.items() if k != 0)
     amin = max(float(np.min(vals)) - math.pi / n * lipschitz,
                abs(top.mean()) - rest)
@@ -267,9 +271,14 @@ class Rectangle:
         """Distance from z to the rectangle's boundary curve."""
         z = np.asarray(z, dtype=complex)
         outside = self.distance(z)
-        inside = np.minimum.reduce([z.real - self.re_lo, self.re_hi - z.real,
-                                    z.imag - self.im_lo, self.im_hi - z.imag])
-        return np.where(outside > 0.0, outside, np.maximum(inside, 0.0))
+        return np.where(outside > 0.0, outside, np.maximum(self.depth(z), 0.0))
+
+    def depth(self, z):
+        """Distance from z inside the rectangle to its boundary; negative
+        outside."""
+        z = np.asarray(z, dtype=complex)
+        return np.minimum.reduce([z.real - self.re_lo, self.re_hi - z.real,
+                                  z.imag - self.im_lo, self.im_hi - z.imag])
 
     def sup_abs(self) -> float:
         corners = [complex(r, i) for r in (self.re_lo, self.re_hi)
@@ -321,6 +330,11 @@ class Disk:
         z = np.asarray(z, dtype=complex)
         return np.abs(np.abs(z - self.center) - self.radius)
 
+    def depth(self, z):
+        """Distance from z inside the disk to its boundary; negative outside."""
+        z = np.asarray(z, dtype=complex)
+        return self.radius - np.abs(z - self.center)
+
     def sup_abs(self) -> float:
         return abs(self.center) + self.radius
 
@@ -352,6 +366,11 @@ class BoundaryTube:
     def distance(self, z):
         """Distance from z to the tube (zero inside)."""
         return np.maximum(self.base.boundary_distance(z) - self.r, 0.0)
+
+    def depth(self, z):
+        """Distance from z inside the tube to its complement; negative
+        outside."""
+        return self.r - self.base.boundary_distance(z)
 
     def sup_abs(self) -> float:
         return self.base.sup_abs() + self.r
@@ -482,8 +501,9 @@ def default_grid(spec: SymbolSpec, region: Region, n_x: int, n_xi: int) -> Phase
 # ---------------------------------------------------------------------------
 
 _CHUNK_ROWS = 128
-_BLOCK = 32     # xi nodes per block that the pruned sweep keeps or skips whole
-_SWEEP_ROWS = 64    # x-rows per pruned-sweep step: 64 x 128 block heads = 128 KiB at n_xi 4096
+_BLOCK = 32         # xi nodes per pruned-sweep tile
+_TILE_ROWS = 8      # x-rows per pruned-sweep tile
+_SWEEP_ROWS = 64    # x-rows per pruned-sweep step, whose coefficients are made together
 _PIECE = 256        # kept blocks per array the pruned sweep yields: 128 KiB of p
 
 
@@ -497,78 +517,107 @@ def _coefficients(spec: SymbolSpec, rows: np.ndarray) -> list:
     return [c(rows[:, None]) for c in spec.a]
 
 
-def _near_region(spec: SymbolSpec, region: Region,
-                 grid: PhaseGrid) -> Iterator[np.ndarray]:
-    """p at the grid nodes that can lie in the region, by blocks of x-rows.
+def _near_region(spec: SymbolSpec, region: Region, grid: PhaseGrid,
+                 whole: bool = False) -> Iterator[tuple[int, np.ndarray]]:
+    """p at the grid nodes that can lie in the region, by tiles of nodes.
 
-    The xi nodes are cut into blocks of _BLOCK.  On the slab |xi| <= R,
-    L = sum_a a ||a_a||_1 R^(a-1) bounds |dp/dxi|, so p moves by at most
-    L (_BLOCK - 1) dxi within a block.  A block is skipped when p at its first
-    node lies farther than that from the region, plus a slack of
-    4096 (1 + bandwidth) ulps of the largest |p| and |z| involved, far above
-    the rounding error of p and of the distance; so every skipped node lies
-    outside the region in floating point too.  The kept blocks are
-    evaluated by eval_principal's arithmetic: the coefficients a_a(x) on the
-    block of rows, as the full grid computes them, then Horner's rule on the
-    kept nodes.  Each node gets the full grid's value, so counts over the
-    yielded values are the full grid's counts.
+    The grid is cut into tiles of _TILE_ROWS x-rows by _BLOCK xi nodes, and
+    each tile is judged by p at its first node, its head.  On the slab
+    |xi| <= R, L_xi = sum_a a ||a_a||_1 R^(a-1) bounds |dp/dxi| and
+    L_x = sum_a ||a_a'||_1 R^a bounds |dp/dx|, so p moves by at most
+    L_xi (_BLOCK - 1) dxi + L_x (_TILE_ROWS - 1) dx within a tile.  The
+    tile's reach is that bound plus a slack of 4096 (1 + bandwidth) ulps of
+    the largest |p| and |z| involved, far above the rounding error of p and
+    of the region's distances.  A tile whose head lies farther than its
+    reach from the region is skipped: each of its nodes lies outside the
+    region in floating point too.  With ``whole``, a tile whose head lies
+    deeper inside the region than its reach is counted whole: each of its
+    nodes lies inside in floating point too.  The other tiles are evaluated
+    by eval_principal's arithmetic: the coefficients a_a(x) on the step's
+    block of rows, as the full grid computes them, then Horner's rule on
+    the kept nodes.  Each node gets the full grid's value, so counts over
+    the yielded values, plus the whole tiles, are the full grid's counts.
 
-    Each step takes _SWEEP_ROWS rows and yields their kept blocks in
-    row-major order, at most _PIECE blocks per array, so the arrays stay in
-    cache.  They are exactly 128 KiB, glibc's initial mmap threshold, and
-    the allocator reuses their memory only because ``cli.main`` raises that
-    threshold (``cli._reuse_heap``); otherwise each is mapped and faulted in
-    afresh.  Measured on ``phase-volumes`` without that call, other sizes
-    are no cure: 64 KiB arrays (32 rows, 128 blocks) took no faults but
-    0.44-0.64 s per iteration against 0.40-0.49 s, for the longer loop;
-    arrays just under 128 KiB (63 rows, 255 blocks) made glibc trim and
-    regrow the top of the heap, 118k faults and 0.63-0.74 s.
+    Yields pairs (n, values): n nodes of whole tiles, all inside the region,
+    and p at the nodes of kept tiles.  Each step takes _SWEEP_ROWS rows and
+    yields their kept nodes in row-major order, at most _PIECE blocks per
+    array, so the arrays stay in cache.  They are exactly 128 KiB, glibc's
+    initial mmap threshold, and the allocator reuses their memory only
+    because ``cli.main`` raises that threshold (``cli._reuse_heap``);
+    otherwise each is mapped and faulted in afresh.  Measured on
+    ``phase-volumes`` without that call (before tiles, with every row's
+    blocks judged by their own heads), other sizes are no cure: 64 KiB
+    arrays (32 rows, 128 blocks) took no faults but 0.44-0.64 s per
+    iteration against 0.40-0.49 s, for the longer loop; arrays just under
+    128 KiB (63 rows, 255 blocks) made glibc trim and regrow the top of the
+    heap, 118k faults and 0.63-0.74 s.
     """
     x, xi = grid.x_nodes(), grid.xi_nodes()
     r = max(abs(grid.xi_lo), abs(grid.xi_hi))
     sups = [c.sup_bound() for c in spec.a]
-    lipschitz = sum(a * s * r ** (a - 1) for a, s in enumerate(sups) if a >= 1)
+    l_xi = sum(a * s * r ** (a - 1) for a, s in enumerate(sups) if a >= 1)
+    l_x = sum(c.derivative_bound() * r ** a for a, c in enumerate(spec.a))
     scale = sum(s * r ** a for a, s in enumerate(sups)) + region.sup_abs()
     slack = 2.0 ** -40 * (1 + max(c.bandwidth for c in spec.a)) * scale
     step = (grid.xi_hi - grid.xi_lo) / grid.n_xi
-    reach = lipschitz * (_BLOCK - 1) * step + slack
+    reach = (l_xi * (_BLOCK - 1) * step
+             + l_x * (_TILE_ROWS - 1) * (TWO_PI / grid.n_x) + slack)
     n_blocks = -(-grid.n_xi // _BLOCK)
     cols = np.arange(n_blocks * _BLOCK).reshape(n_blocks, _BLOCK)
     valid = cols < grid.n_xi                    # the last block may be partial
+    widths = np.count_nonzero(valid, axis=1)
     blocks = xi[np.minimum(cols, grid.n_xi - 1)]
     for lo in range(0, len(x), _SWEEP_ROWS):
         coeffs = _coefficients(spec, x[lo:lo + _SWEEP_ROWS])
-        gap = region.distance(_horner(coeffs, blocks[None, :, 0]))
-        kept_i, kept_b = np.nonzero(~(gap > reach))     # a NaN keeps its block
+        n_rows = len(coeffs[0])
+        heads = _horner([c[::_TILE_ROWS] for c in coeffs], blocks[None, :, 0])
+        kept = ~(region.distance(heads) > reach)     # a NaN keeps its tile
+        inside = 0
+        if whole:
+            deep = region.depth(heads) > reach
+            kept &= ~deep
+            heights = np.minimum(n_rows - np.arange(0, n_rows, _TILE_ROWS),
+                                 _TILE_ROWS)
+            inside = int(heights @ deep @ widths)
+        kept_i, kept_b = np.nonzero(np.repeat(kept, _TILE_ROWS, axis=0)[:n_rows])
         for lo_k in range(0, len(kept_i), _PIECE):
             i, b = kept_i[lo_k:lo_k + _PIECE], kept_b[lo_k:lo_k + _PIECE]
-            yield _horner([c[i] for c in coeffs], blocks[b])[valid[b]]
+            yield inside, _horner([c[i] for c in coeffs], blocks[b])[valid[b]]
+            inside = 0
+        if inside:
+            yield inside, xi[:0]
 
 
 def volume_preimage(spec: SymbolSpec, region: Region, grid: PhaseGrid) -> float:
     """Midpoint-rule measure of {(x, xi) : p(x, xi) in region}.
 
-    Only the grid blocks that can reach the region are evaluated; the count
-    equals the count over every node.
+    Only the grid tiles that can reach the region are evaluated, and tiles
+    that lie deep inside it are counted whole; the count equals the count
+    over every node.
     """
     ok, msg = certify_grid(spec, region, grid)
     if not ok:
         raise ContainmentError(msg)
-    count = sum(int(np.count_nonzero(region.contains(vals)))
-                for vals in _near_region(spec, region, grid))
+    count = sum(inside + int(np.count_nonzero(region.contains(vals)))
+                for inside, vals in _near_region(spec, region, grid, whole=True))
     return count * grid.cell_area
 
 
 def sublevel_volumes(spec: SymbolSpec, z: complex, t_values,
                      grid: PhaseGrid) -> np.ndarray:
-    """Volumes of {|p - z|^2 <= t} for every t in one sweep of the grid."""
+    """Volumes of {|p - z|^2 <= t} for every t in one sweep of the grid.
+
+    The sweep skips the tiles that cannot reach the largest disk and sorts
+    |p - z|^2 over the others; no tile is counted whole, since one count
+    per t would be needed.
+    """
     t = np.asarray(t_values, dtype=float)
     disk = Disk(z, math.sqrt(float(t.max())))
     ok, msg = certify_grid(spec, disk, grid)
     if not ok:
         raise ContainmentError(msg)
     counts = np.zeros(t.shape, dtype=np.int64)
-    for vals in _near_region(spec, disk, grid):
+    for _, vals in _near_region(spec, disk, grid):
         s = np.abs(vals - z) ** 2
         counts += np.searchsorted(np.sort(s), t, side="right")
     return counts * grid.cell_area

@@ -1,6 +1,7 @@
 """Property tests: TrigPoly algebra, the symbol text round trip, the
 Toeplitz build of convolution matrices and the pruned phase-space sweep."""
 
+import cmath
 import math
 
 import numpy as np
@@ -21,8 +22,10 @@ from torweyl.symbols import (  # noqa: E402
     SymbolSpec,
     TrigPoly,
     _near_region,
+    catalog_symbol,
     certified_xi_bound,
     certify_grid,
+    default_grid,
     range_samples,
     sublevel_volumes,
     volume_preimage,
@@ -223,6 +226,11 @@ COMPLEX_MODES = SymbolSpec(m=2, a=(TrigPoly({-1: 1.5 + 1j, 2: 0.3 - 0.7j}),
                                    TrigPoly({1: 0.25 + 0.5j}),
                                    TrigPoly({0: 1.0, 3: 0.1 + 0.2j})))
 LONG_GRID = PhaseGrid(n_x=16, xi_lo=-2.0, xi_hi=2.0, n_xi=100_000)
+# acceptance criterion 09's probe points, with the benchmark's disk radius
+PHASE_DISKS = ([("xi2+exp(ix)", cmath.exp(1j * th))
+                for th in (0.25, 0.55, 0.85, 1.15, 1.45)]
+               + [("xi+exp(-ix)", z) for z in (0.3 + 0.4j, -0.2 + 0.6j, 0.5 - 0.5j,
+                                               1.2 + 0.2j, -0.8 - 0.3j)])
 
 
 class TestPrunedSweep:
@@ -246,12 +254,37 @@ class TestPrunedSweep:
         want = outcome(sublevel_by_full_sweep, spec, z, t, grid)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("n_x", [203, 333])
+    @pytest.mark.parametrize("region", [
+        Rectangle(-1.5, 3.0, -1.6, 1.6),
+        Disk(1.0, 1.5),
+        BoundaryTube(Disk(1.0, 1.0), 0.8),
+        BoundaryTube(Rectangle(-0.5, 2.0, -0.5, 0.5), 1.2)])
+    def test_whole_tiles_equal_full_grid(self, n_x, region):
+        # n_x a multiple of neither the tile height nor the step, and a
+        # partial last block of xi nodes: whole tiles of every shape
+        spec = catalog_symbol("xi2+exp(ix)")
+        bound = certified_xi_bound(spec, region)
+        grid = PhaseGrid(n_x=n_x, xi_lo=-bound, xi_hi=bound, n_xi=4001)
+        whole = sum(n for n, _ in _near_region(spec, region, grid, whole=True))
+        assert whole > 0
+        assert volume_preimage(spec, region, grid) == volume_by_full_sweep(
+            spec, region, grid)
+
+    @pytest.mark.parametrize("model, z", PHASE_DISKS)
+    def test_phase_volume_disks_equal_full_grid(self, model, z):
+        spec, region = catalog_symbol(model), Disk(z, 0.35)
+        grid = default_grid(spec, region, 1024, 1024)
+        assert volume_preimage(spec, region, grid) == volume_by_full_sweep(
+            spec, region, grid)
+
     @pytest.mark.parametrize("n_x, n_xi", [(130, 33), (256, 4100)])
     def test_kept_values_are_the_full_grid_values(self, n_x, n_xi):
         # a region that keeps every block, on grids whose gathered blocks
         # reach numpy's in-place loops (256 KiB and more)
         grid = PhaseGrid(n_x=n_x, xi_lo=-3.0, xi_hi=2.0, n_xi=n_xi)
-        got = np.concatenate(list(_near_region(COMPLEX_MODES, Disk(0.0, 1e300), grid)))
+        got = np.concatenate([v for _, v in _near_region(COMPLEX_MODES,
+                                                          Disk(0.0, 1e300), grid)])
         want = np.concatenate([v.ravel() for v in full_sweep(COMPLEX_MODES, grid)])
         assert got.tobytes() == want.tobytes()
 

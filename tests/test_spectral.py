@@ -106,6 +106,33 @@ def use_path(monkeypatch, path):
         pytest.skip("numpy bundles no OpenBLAS")
 
 
+def lapack_schur(a):
+    """T from zgees on the path use_path chose, bypassing schur's shortcut."""
+    t = np.array(a, dtype=complex, order="F")
+    blas = spectral._numpy_blas()
+    if blas is not None:
+        info = spectral._schur_numpy_lapack(t, blas)
+    else:
+        t, info = spectral._schur_scipy(t)
+    assert info == 0
+    return t
+
+
+def triangular(kind):
+    """A 50 x 50 triangular test matrix of the given kind, or a 1 x 1."""
+    rng = np.random.default_rng(23)
+    dense = random_complex(rng, 50)
+    if kind == "upper":
+        return np.triu(dense)
+    if kind == "lower-bidiagonal":
+        return np.tril(np.triu(dense, -1))
+    if kind == "dense-lower":
+        return np.tril(dense)
+    if kind == "diagonal":
+        return np.diag(np.diag(dense))
+    return dense[:1, :1]
+
+
 class TestSchur:
     @pytest.mark.parametrize("path", ["numpy-lapack", "scipy"])
     @pytest.mark.parametrize("h", [0.05, 0.02, 0.01])
@@ -116,6 +143,38 @@ class TestSchur:
         with single_blas_thread():
             got = [np.diag(schur(m).entries).tobytes() for m in acceptance_matrices(h)]
         assert got == eig_bytes(h)
+
+    @pytest.mark.parametrize("path", ["numpy-lapack", "scipy"])
+    @pytest.mark.parametrize("kind", ["upper", "lower-bidiagonal", "dense-lower",
+                                      "diagonal", "1x1"])
+    def test_triangular_form_is_lapacks_bit_for_bit(self, monkeypatch, path, kind):
+        use_path(monkeypatch, path)
+        a = triangular(kind)
+        assert spectral._triangular_schur(a) is not None
+        assert schur(a).entries.tobytes() == lapack_schur(a).tobytes()
+
+    @pytest.mark.parametrize("h", [0.05, 0.02, 0.01])
+    def test_baseline_form_skips_lapack_bit_for_bit(self, monkeypatch, h):
+        # the unperturbed acceptance matrix is lower bidiagonal, N = 91 to 447
+        use_path(monkeypatch, "numpy-lapack")
+        a = acceptance_matrices(h)[0].entries
+        assert spectral._triangular_schur(a) is not None
+        with single_blas_thread():
+            assert schur(a).entries.tobytes() == lapack_schur(a).tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 470, 2.0 ** -470])
+    def test_other_triangular_forms_go_through_lapack(self, scale):
+        # a zero on the subdiagonal lets zgebal isolate rows in another
+        # order; far from 1, zgees scales the matrix first
+        a = triangular("dense-lower") * scale
+        if scale == 1.0:
+            a[20, 19] = 0.0
+        assert spectral._triangular_schur(a) is None
+        t = schur(a).entries
+        assert np.all(np.tril(t, -1) == 0.0)
+        # zgees scales by 2^(-+459) / max|a|, no power of 2, so T rounds
+        assert np.allclose(np.sort_complex(np.diag(t)), np.sort_complex(np.diag(a)),
+                           rtol=1e-14, atol=0.0)
 
     def test_form_is_upper_triangular_and_unitarily_similar(self):
         rng = np.random.default_rng(21)
@@ -462,9 +521,11 @@ class TestPseudospectrum:
 
     @staticmethod
     def assert_nan_everywhere_after_failed_schur():
+        # not triangular, so that schur calls zgees
+        m = np.eye(4, dtype=complex) + np.eye(4, k=1) + np.eye(4, k=-1)
         with pytest.raises(SolverError, match="did not converge"):
-            schur(np.eye(4, dtype=complex))
-        got = pseudospectrum(np.eye(4, dtype=complex), [0.0, 2.0, 1j])
+            schur(m)
+        got = pseudospectrum(m, [0.0, 2.0, 1j])
         assert len(got) == 3 and all(math.isnan(v) for v in got)
 
     def test_schur_failure_gives_nan_everywhere(self, monkeypatch):
