@@ -345,8 +345,15 @@ def cmd_volume(v: dict, out_dir: Path) -> int:
         print(f"prediction = {pred!r} at h = {h!r}")
     z = v["kappa.z"]
     if z is not None:
-        kap, r2 = estimate_kappa(spec, z, t_lo=t_lo, t_hi=t_hi,
-                                 n_points=v["kappa.points_n"])
+        try:
+            kap, r2 = estimate_kappa(spec, z, t_lo=t_lo, t_hi=t_hi,
+                                     n_points=v["kappa.points_n"])
+        except ContainmentError as exc:
+            # the fit's disk |w - z| <= sqrt(t_hi) has no certified xi-slab
+            raise ConfigError(
+                f"kappa.z = {z}, kappa.t_hi = {t_hi!r}: no xi-slab provably "
+                f"holds the preimage of the disk |w - kappa.z| <= "
+                f"sqrt(kappa.t_hi): {exc}") from None
         payload["kappa_hat"] = kap
         payload["kappa_r2"] = r2
         print(f"kappa_hat = {kap!r} (r2 = {r2!r}) at z = {z}")
@@ -654,21 +661,22 @@ def _reuse_heap() -> None:
     accident.  Measured per iteration of the benchmark workloads (minor
     page faults, in-process loop of ``main`` calls after one warm-up call,
     2-CPU x86-64 VM with glibc 2.36), with these settings ``phase-volumes``
-    took 2-8 faults and 0.26-0.34 s, and ``weyl-acceptance`` 0-16 faults
-    (384-415 in one or two early iterations, while the heap grew) and
-    0.42-0.57 s.  Otherwise:
+    took 2-8 faults and 0.17-0.23 s, and ``weyl-acceptance`` 0-12 faults
+    and 0.39-0.55 s.  Otherwise:
 
-    - left alone, ``phase-volumes`` took 50.7k faults and 0.39-0.45 s: the
-      pruned volume sweep yields arrays of exactly 128 KiB
-      (symbols._PIECE blocks of 32 nodes), each mapped afresh;
-      ``weyl-acceptance`` took 3.6k-5.9k;
+    - left alone, ``phase-volumes`` took 9.3k-9.4k faults and 0.20-0.24 s:
+      the pruned volume sweep's tile heads, sub-tile heads and yielded
+      arrays are of 128 KiB at most (symbols._HEADS, _PAIRS and _PIECE),
+      and those of exactly 128 KiB are each mapped afresh (50.6k faults
+      before the sub-tiles, when every kept tile was evaluated);
+      ``weyl-acceptance`` took 4.4k;
     - an explicit threshold stops the rise, so a small one is worse: at
       1 MiB the N = 447 trial matrices (3.2 MB) were mapped afresh each time,
-      and ``weyl-acceptance`` took 18.0k faults;
+      and ``weyl-acceptance`` took 22.2k faults;
     - an explicit threshold also stops the trim threshold from following at
       twice its value, and left at 128 KiB it returns the top of the heap to
-      the system at every step: 18.3k faults on ``phase-volumes`` and
-      17.2k-17.9k on ``weyl-acceptance``.
+      the system at every step: 10.0k faults on ``phase-volumes`` and
+      16.9k-17.9k on ``weyl-acceptance``.
 
     32 MiB is glibc's own ceiling for the rising threshold, and 64 MiB twice
     that.  Other C libraries are left as they are.

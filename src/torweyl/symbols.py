@@ -463,10 +463,12 @@ def certified_xi_bound(spec: SymbolSpec, region: Region) -> float:
         raise ContainmentError("symbol is not elliptic; no xi bound exists")
     target = region.sup_abs()
     if spec.m == 0:
-        if symbol_floor(spec, 1.0, c) > target:
+        floor = symbol_floor(spec, 1.0, c)
+        if floor > target:
             return 1.0
         raise ContainmentError(
-            "order-0 symbol cannot certify a compact preimage for this region"
+            f"order-0 symbol cannot certify a compact preimage: its floor "
+            f"|p| >= {floor:.6g} does not exceed sup|z| = {target:.6g}"
         )
 
     def ok(r: float) -> bool:
@@ -501,10 +503,13 @@ def default_grid(spec: SymbolSpec, region: Region, n_x: int, n_xi: int) -> Phase
 # ---------------------------------------------------------------------------
 
 _CHUNK_ROWS = 128
-_BLOCK = 32         # xi nodes per pruned-sweep tile
-_TILE_ROWS = 8      # x-rows per pruned-sweep tile
-_SWEEP_ROWS = 64    # x-rows per pruned-sweep step, whose coefficients are made together
-_PIECE = 256        # kept blocks per array the pruned sweep yields: 128 KiB of p
+_BLOCK = 32         # xi nodes per tile of the pruned sweep
+_TILE_ROWS = 8      # x-rows per tile
+_SUB = 8            # xi nodes per sub-tile: one row of a quarter tile
+_SWEEP_ROWS = 512   # x-rows per step, whose coefficients are made together
+_HEADS = 8192       # tile heads per step at most, 128 KiB: fewer rows on wide grids
+_PAIRS = 2048       # kept (row, block) pairs per chunk, 128 KiB of sub-tile heads
+_PIECE = 1024       # sub-tiles per array the pruned sweep yields: 128 KiB of p
 
 
 def _coefficients(spec: SymbolSpec, rows: np.ndarray) -> list:
@@ -517,40 +522,62 @@ def _coefficients(spec: SymbolSpec, rows: np.ndarray) -> list:
     return [c(rows[:, None]) for c in spec.a]
 
 
+def _judge(region: Region, heads: np.ndarray, reach: float,
+           whole: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Masks (near, deep) of the tiles whose heads lie within reach of the
+    region, and, with ``whole``, of those deeper inside it than reach."""
+    near = ~(region.distance(heads) > reach)     # a NaN keeps its tile
+    if not whole:
+        return near, None
+    deep = region.depth(heads) > reach
+    return near & ~deep, deep
+
+
 def _near_region(spec: SymbolSpec, region: Region, grid: PhaseGrid,
                  whole: bool = False) -> Iterator[tuple[int, np.ndarray]]:
     """p at the grid nodes that can lie in the region, by tiles of nodes.
 
     The grid is cut into tiles of _TILE_ROWS x-rows by _BLOCK xi nodes, and
-    each tile is judged by p at its first node, its head.  On the slab
-    |xi| <= R, L_xi = sum_a a ||a_a||_1 R^(a-1) bounds |dp/dxi| and
+    each row of a tile into sub-tiles of _SUB nodes; each is judged by p at
+    its first node, its head.  On the slab |xi| <= R,
+    L_xi = sum_a a ||a_a||_1 R^(a-1) bounds |dp/dxi| and
     L_x = sum_a ||a_a'||_1 R^a bounds |dp/dx|, so p moves by at most
-    L_xi (_BLOCK - 1) dxi + L_x (_TILE_ROWS - 1) dx within a tile.  The
-    tile's reach is that bound plus a slack of 4096 (1 + bandwidth) ulps of
-    the largest |p| and |z| involved, far above the rounding error of p and
-    of the region's distances.  A tile whose head lies farther than its
-    reach from the region is skipped: each of its nodes lies outside the
-    region in floating point too.  With ``whole``, a tile whose head lies
-    deeper inside the region than its reach is counted whole: each of its
-    nodes lies inside in floating point too.  The other tiles are evaluated
-    by eval_principal's arithmetic: the coefficients a_a(x) on the step's
-    block of rows, as the full grid computes them, then Horner's rule on
-    the kept nodes.  Each node gets the full grid's value, so counts over
-    the yielded values, plus the whole tiles, are the full grid's counts.
+    L_xi (_BLOCK - 1) dxi + L_x (_TILE_ROWS - 1) dx within a tile, and by
+    L_xi (_SUB - 1) dxi within a sub-tile, which has one row and so no
+    x-term.  The reach of each is that bound plus a slack of 4096
+    (1 + bandwidth) ulps of the largest |p| and |z| involved, far above the
+    rounding error of p and of the region's distances.  A tile or sub-tile
+    whose head lies farther than its reach from the region is skipped: each
+    of its nodes lies outside the region in floating point too.  With
+    ``whole``, one whose head lies deeper inside the region than its reach
+    is counted whole: each of its nodes lies inside in floating point too.
+    The sub-tiles of the tiles left are judged in turn, and only the
+    sub-tiles left then are evaluated, by eval_principal's arithmetic: the
+    coefficients a_a(x) on the step's block of rows, as the full grid
+    computes them, then Horner's rule on the kept nodes.  Each node gets
+    the full grid's value, so counts over the yielded values, plus the
+    nodes counted whole, are the full grid's counts.
 
-    Yields pairs (n, values): n nodes of whole tiles, all inside the region,
-    and p at the nodes of kept tiles.  Each step takes _SWEEP_ROWS rows and
-    yields their kept nodes in row-major order, at most _PIECE blocks per
-    array, so the arrays stay in cache.  They are exactly 128 KiB, glibc's
-    initial mmap threshold, and the allocator reuses their memory only
-    because ``cli.main`` raises that threshold (``cli._reuse_heap``);
-    otherwise each is mapped and faulted in afresh.  Measured on
-    ``phase-volumes`` without that call (before tiles, with every row's
-    blocks judged by their own heads), other sizes are no cure: 64 KiB
-    arrays (32 rows, 128 blocks) took no faults but 0.44-0.64 s per
-    iteration against 0.40-0.49 s, for the longer loop; arrays just under
-    128 KiB (63 rows, 255 blocks) made glibc trim and regrow the top of the
-    heap, 118k faults and 0.63-0.74 s.
+    Yields pairs (n, values): n nodes counted whole, all inside the region,
+    and p at the nodes of kept sub-tiles, in row-major order.  Each step
+    takes _SWEEP_ROWS rows, or fewer on grids of more than 128 blocks so
+    that its tile heads stay within _HEADS.  The sub-tiles of its kept
+    tiles are judged in chunks of consecutive tile rows holding at most
+    _PAIRS kept (row, block) pairs (one tile row may hold more), and each
+    array yielded holds at most _PIECE sub-tiles.  So the working arrays
+    stay within about 128 KiB and in cache, whatever share of the grid is
+    kept.  On ``phase-volumes``, judging a whole step's sub-tiles at once
+    raised the peak RSS from 35.3 to 38.4 MB for no clear gain in speed,
+    and also yielding a whole step's nodes at once to 52.1 MB for 3-13%.
+    Arrays of exactly 128 KiB reuse their memory only because ``cli.main``
+    raises glibc's initial mmap threshold (``cli._reuse_heap``); otherwise
+    each is mapped and faulted in afresh.  Measured on ``phase-volumes``
+    without that call (before tiles, with every row's blocks judged by
+    their own heads), other sizes are no cure: 64 KiB arrays (32 rows, 128
+    blocks) took no faults but 0.44-0.64 s per iteration against
+    0.40-0.49 s, for the longer loop; arrays just under 128 KiB (63 rows,
+    255 blocks) made glibc trim and regrow the top of the heap, 118k faults
+    and 0.63-0.74 s.
     """
     x, xi = grid.x_nodes(), grid.xi_nodes()
     r = max(abs(grid.xi_lo), abs(grid.xi_hi))
@@ -562,28 +589,46 @@ def _near_region(spec: SymbolSpec, region: Region, grid: PhaseGrid,
     step = (grid.xi_hi - grid.xi_lo) / grid.n_xi
     reach = (l_xi * (_BLOCK - 1) * step
              + l_x * (_TILE_ROWS - 1) * (TWO_PI / grid.n_x) + slack)
+    sub_reach = l_xi * (_SUB - 1) * step + slack
+    per_block = _BLOCK // _SUB
     n_blocks = -(-grid.n_xi // _BLOCK)
-    cols = np.arange(n_blocks * _BLOCK).reshape(n_blocks, _BLOCK)
+    cols = np.arange(n_blocks * _BLOCK).reshape(n_blocks * per_block, _SUB)
     valid = cols < grid.n_xi                    # the last block may be partial
-    widths = np.count_nonzero(valid, axis=1)
-    blocks = xi[np.minimum(cols, grid.n_xi - 1)]
-    for lo in range(0, len(x), _SWEEP_ROWS):
-        coeffs = _coefficients(spec, x[lo:lo + _SWEEP_ROWS])
+    partial = grid.n_xi % _BLOCK != 0
+    sub_xi = xi[np.minimum(cols, grid.n_xi - 1)]
+    sub_heads = sub_xi[:, 0].reshape(n_blocks, per_block)
+    sub_widths = np.count_nonzero(valid, axis=1).reshape(n_blocks, per_block)
+    widths = sub_widths.sum(axis=1)
+    rows = _TILE_ROWS * max(1, min(_SWEEP_ROWS // _TILE_ROWS, _HEADS // n_blocks))
+    for lo in range(0, len(x), rows):
+        coeffs = _coefficients(spec, x[lo:lo + rows])
         n_rows = len(coeffs[0])
-        heads = _horner([c[::_TILE_ROWS] for c in coeffs], blocks[None, :, 0])
-        kept = ~(region.distance(heads) > reach)     # a NaN keeps its tile
-        inside = 0
-        if whole:
-            deep = region.depth(heads) > reach
-            kept &= ~deep
-            heights = np.minimum(n_rows - np.arange(0, n_rows, _TILE_ROWS),
-                                 _TILE_ROWS)
-            inside = int(heights @ deep @ widths)
-        kept_i, kept_b = np.nonzero(np.repeat(kept, _TILE_ROWS, axis=0)[:n_rows])
-        for lo_k in range(0, len(kept_i), _PIECE):
-            i, b = kept_i[lo_k:lo_k + _PIECE], kept_b[lo_k:lo_k + _PIECE]
-            yield inside, _horner([c[i] for c in coeffs], blocks[b])[valid[b]]
-            inside = 0
+        heights = np.minimum(n_rows - np.arange(0, n_rows, _TILE_ROWS), _TILE_ROWS)
+        heads = _horner([c[::_TILE_ROWS] for c in coeffs], sub_heads[None, :, 0])
+        kept, deep = _judge(region, heads, reach, whole)
+        inside = 0 if deep is None else int(heights @ deep @ widths)
+        ends = np.cumsum(np.count_nonzero(kept, axis=1) * heights)
+        start = 0
+        while start < len(ends):                # a chunk of tile rows
+            done = ends[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, done + _PAIRS, "right")))
+            if ends[stop - 1] > done:
+                first = start * _TILE_ROWS
+                i, b = np.nonzero(np.repeat(kept[start:stop], _TILE_ROWS,
+                                            axis=0)[:n_rows - first])
+                chunk = [c[first:][i] for c in coeffs]
+                near, deep = _judge(region, _horner(chunk, sub_heads[b]),
+                                    sub_reach, whole)
+                if deep is not None:
+                    inside += int(sub_widths[b][deep].sum())
+                j, s = np.nonzero(near)         # row-major: rows, then xi
+                s += b[j] * per_block
+                for lo_k in range(0, len(j), _PIECE):
+                    jk, sk = j[lo_k:lo_k + _PIECE], s[lo_k:lo_k + _PIECE]
+                    vals = _horner([c[jk] for c in chunk], sub_xi[sk])
+                    yield inside, vals[valid[sk]] if partial else vals.ravel()
+                    inside = 0
+            start = stop
         if inside:
             yield inside, xi[:0]
 
@@ -591,9 +636,10 @@ def _near_region(spec: SymbolSpec, region: Region, grid: PhaseGrid,
 def volume_preimage(spec: SymbolSpec, region: Region, grid: PhaseGrid) -> float:
     """Midpoint-rule measure of {(x, xi) : p(x, xi) in region}.
 
-    Only the grid tiles that can reach the region are evaluated, and tiles
-    that lie deep inside it are counted whole; the count equals the count
-    over every node.
+    Tiles of grid nodes, and then the sub-tiles of the tiles kept, that
+    cannot reach the region are skipped, those deep inside it are counted
+    whole, and only the sub-tiles left are evaluated; the count equals the
+    count over every node.
     """
     ok, msg = certify_grid(spec, region, grid)
     if not ok:
@@ -607,9 +653,9 @@ def sublevel_volumes(spec: SymbolSpec, z: complex, t_values,
                      grid: PhaseGrid) -> np.ndarray:
     """Volumes of {|p - z|^2 <= t} for every t in one sweep of the grid.
 
-    The sweep skips the tiles that cannot reach the largest disk and sorts
-    |p - z|^2 over the others; no tile is counted whole, since one count
-    per t would be needed.
+    The sweep skips the tiles, and then the sub-tiles, that cannot reach
+    the largest disk and sorts |p - z|^2 over the sub-tiles left; none is
+    counted whole, since one count per t would be needed.
     """
     t = np.asarray(t_values, dtype=float)
     disk = Disk(z, math.sqrt(float(t.max())))

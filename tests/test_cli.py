@@ -435,6 +435,27 @@ class TestBadNumbers:
         assert code == EXIT_CONFIG
         assert needle in err
 
+    # the kappa fit's disk |w - z| <= sqrt(t_hi), not the region, has no
+    # certified xi-slab: p = 3 + e^{ix}/2, of order 0, whose floor |p| >= 2.5
+    # clears the region but not the disk around z = 9; and xi + e^{-ix} with
+    # t_hi = 1e200, whose floor clears that disk only beyond |xi| = 2^200
+    @pytest.mark.parametrize("spec, entries", [
+        (SymbolSpec(m=0, a=(TrigPoly({0: 3.0 + 0j, 1: 0.5 + 0j}),)),
+         {"region.disk": "0.5 0 0.2", "kappa.z": "9 0"}),
+        (catalog_symbol("xi+exp(-ix)"),
+         {"region.disk": "0 0 0.5", "kappa.z": "0.3 0.4", "kappa.t_hi": "1e200"}),
+    ], ids=["order-0", "beyond-2^200"])
+    def test_kappa_disk_without_a_certified_slab(self, capsys, tmp_path, spec,
+                                                 entries):
+        path = tmp_path / "p.sym"
+        path.write_text(dumps_symbol(spec))
+        code, _, err = run(capsys, "volume", "--config",
+                           str(write_cfg(tmp_path, {"symbol.file": str(path),
+                                                    **entries})),
+                           "--out", str(tmp_path / "out"))
+        assert code == EXIT_CONFIG
+        assert "kappa.z" in err and "kappa.t_hi" in err
+
     # p = 2 + e^{ix}, of order 0, whose range |p - 2| = 1 misses the region,
     # so that its xi-slab is certified, but which has no kappa floor 1/(2m)
     @pytest.mark.parametrize("command, entries", [

@@ -11,7 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from torweyl import serialize  # noqa: E402
+from torweyl import serialize, symbols  # noqa: E402
 from torweyl.operators import GridParams, convolution_matrix  # noqa: E402
 from torweyl.symbols import (  # noqa: E402
     BoundaryTube,
@@ -233,6 +233,26 @@ PHASE_DISKS = ([("xi2+exp(ix)", cmath.exp(1j * th))
                                                1.2 + 0.2j, -0.8 - 0.3j)])
 
 
+def judged(monkeypatch):
+    """Heads skipped, counted whole and kept by every later _judge call,
+    tallied by reach; the sub-tiles' reach is the smallest."""
+    tally = {}
+    judge = symbols._judge
+
+    def spy(region, heads, reach, whole):
+        near, deep = judge(region, heads, reach, whole)
+        n_near = int(np.count_nonzero(near))
+        n_deep = 0 if deep is None else int(np.count_nonzero(deep))
+        counts = tally.setdefault(reach, [0, 0, 0])
+        counts[0] += heads.size - n_near - n_deep
+        counts[1] += n_deep
+        counts[2] += n_near
+        return near, deep
+
+    monkeypatch.setattr(symbols, "_judge", spy)
+    return tally
+
+
 class TestPrunedSweep:
     """volume_preimage and sublevel_volumes give the full grid's counts."""
 
@@ -270,6 +290,48 @@ class TestPrunedSweep:
         assert whole > 0
         assert volume_preimage(spec, region, grid) == volume_by_full_sweep(
             spec, region, grid)
+
+    # n_x a multiple of neither the tile height nor the step, and n_xi of
+    # no sub-tile width: partial tiles and sub-tiles of every shape
+    @pytest.mark.parametrize("n_x, n_xi", [(1203, 1001), (1100, 2047)])
+    @pytest.mark.parametrize("region", [
+        Rectangle(-1.5, 3.0, -1.6, 1.6),
+        Disk(1.0, 1.5),
+        BoundaryTube(Disk(1.0, 1.0), 0.8)])
+    def test_sub_tiles_skipped_whole_and_evaluated(self, monkeypatch, n_x,
+                                                   n_xi, region):
+        spec = catalog_symbol("xi2+exp(ix)")
+        bound = certified_xi_bound(spec, region)
+        grid = PhaseGrid(n_x=n_x, xi_lo=-bound, xi_hi=bound, n_xi=n_xi)
+        tally = judged(monkeypatch)
+        assert volume_preimage(spec, region, grid) == volume_by_full_sweep(
+            spec, region, grid)
+        assert len(tally) == 2
+        skipped, whole, evaluated = tally[min(tally)]
+        assert skipped > 0 and whole > 0 and evaluated > 0
+
+    def test_partial_sub_tiles_counted_whole(self):
+        # an uncertified grid that ends inside the region: the partial
+        # sub-tiles of its last block are counted whole by their nodes only
+        spec, region = catalog_symbol("xi2+exp(ix)"), Disk(4.0, 1.5)
+        grid = PhaseGrid(n_x=1203, xi_lo=-3.0, xi_hi=2.0, n_xi=1001)
+        got = sum(n + int(np.count_nonzero(region.contains(v)))
+                  for n, v in _near_region(spec, region, grid, whole=True))
+        assert got == sum(int(np.count_nonzero(region.contains(v)))
+                          for v in full_sweep(spec, grid))
+
+    @pytest.mark.parametrize("n_x, n_xi", [(1203, 1001), (1100, 2047)])
+    def test_sublevel_sub_tiles_skipped_and_evaluated(self, monkeypatch, n_x,
+                                                      n_xi):
+        spec, z = catalog_symbol("xi+exp(-ix)"), 0.3 + 0.4j
+        t = np.geomspace(1e-4, 1e-1, 8)
+        grid = default_grid(spec, Disk(z, math.sqrt(t[-1])), n_x, n_xi)
+        tally = judged(monkeypatch)
+        assert np.array_equal(sublevel_volumes(spec, z, t, grid),
+                              sublevel_by_full_sweep(spec, z, t, grid))
+        assert len(tally) == 2
+        skipped, whole, evaluated = tally[min(tally)]
+        assert skipped > 0 and whole == 0 and evaluated > 0
 
     @pytest.mark.parametrize("model, z", PHASE_DISKS)
     def test_phase_volume_disks_equal_full_grid(self, model, z):
