@@ -349,7 +349,6 @@ def cmd_volume(v: dict, out_dir: Path) -> int:
             kap, r2 = estimate_kappa(spec, z, t_lo=t_lo, t_hi=t_hi,
                                      n_points=v["kappa.points_n"])
         except ContainmentError as exc:
-            # the fit's disk |w - z| <= sqrt(t_hi) has no certified xi-slab
             raise ConfigError(
                 f"kappa.z = {z}, kappa.t_hi = {t_hi!r}: no xi-slab provably "
                 f"holds the preimage of the disk |w - kappa.z| <= "
@@ -667,8 +666,7 @@ def _reuse_heap() -> None:
     - left alone, ``phase-volumes`` took 9.3k-9.4k faults and 0.20-0.24 s:
       the pruned volume sweep's tile heads, sub-tile heads and yielded
       arrays are of 128 KiB at most (symbols._HEADS, _PAIRS and _PIECE),
-      and those of exactly 128 KiB are each mapped afresh (50.6k faults
-      before the sub-tiles, when every kept tile was evaluated);
+      and those of exactly 128 KiB are each mapped afresh;
       ``weyl-acceptance`` took 4.4k;
     - an explicit threshold stops the rise, so a small one is worse: at
       1 MiB the N = 447 trial matrices (3.2 MB) were mapped afresh each time,

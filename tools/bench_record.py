@@ -11,7 +11,7 @@ checkout's Tier-1 suite (``python -m pytest -q --continue-on-collection-errors``
 with ``src`` on the path) and writes everything, with the checkout's commit
 and whether its tree was clean, to ``<out>/BENCH_<tag>.json`` (``out``
 defaults to the current directory).  Runs are sequential, one workload at a
-time; with one seed and 20 s per run, a record takes about 2.5 minutes on a
+time; with one seed and 20 s per run, a record takes about 3 minutes on a
 2-CPU VM.  A before/after pair is two records from the same machine, the
 "before" made from a clean clone of the parent commit.
 """
@@ -72,10 +72,12 @@ def main(argv=None) -> int:
                  json.loads((checkout / "BENCHMARK.json").read_text())["workloads"]]
     runs = [bench(checkout, w, seed, args.seconds)
             for w in workloads for seed in args.seeds]
+    commit = git(checkout, "rev-parse", "HEAD")
     record = {
         "tag": args.tag,
-        "commit": git(checkout, "rev-parse", "HEAD"),
-        "clean": git(checkout, "status", "--porcelain", "--untracked-files=no") == "",
+        "commit": commit,
+        "clean": bool(commit) and not git(checkout, "status", "--porcelain",
+                                          "--untracked-files=no"),
         "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "runs": runs,
         "tier1": tier1(checkout),
