@@ -594,7 +594,6 @@ def _near_region(spec: SymbolSpec, region: Region, grid: PhaseGrid,
     n_blocks = -(-grid.n_xi // _BLOCK)
     cols = np.arange(n_blocks * _BLOCK).reshape(n_blocks * per_block, _SUB)
     valid = cols < grid.n_xi                    # the last block may be partial
-    partial = grid.n_xi % _BLOCK != 0
     sub_xi = xi[np.minimum(cols, grid.n_xi - 1)]
     sub_heads = sub_xi[:, 0].reshape(n_blocks, per_block)
     sub_widths = np.count_nonzero(valid, axis=1).reshape(n_blocks, per_block)
@@ -626,7 +625,7 @@ def _near_region(spec: SymbolSpec, region: Region, grid: PhaseGrid,
                 for lo_k in range(0, len(j), _PIECE):
                     jk, sk = j[lo_k:lo_k + _PIECE], s[lo_k:lo_k + _PIECE]
                     vals = _horner([c[jk] for c in chunk], sub_xi[sk])
-                    yield inside, vals[valid[sk]] if partial else vals.ravel()
+                    yield inside, vals[valid[sk]]
                     inside = 0
             start = stop
         if inside:

@@ -1,19 +1,21 @@
 """Record a checkout's benchmark numbers in ``BENCH_<tag>.json``.
 
     python tools/bench_record.py --checkout DIR --tag TAG [--seeds 1 2]
-                                 [--seconds 20] [--out DIR]
+                                 [--out DIR]
 
 For every workload that the checkout's ``BENCHMARK.json`` lists and every
 seed, runs the checkout's own ``perfbench/run.py --trace 0`` in the
-checkout, and keeps the two lines it ends with, the environment record and
-the result, as it printed them (parsed, not edited).  Then it times the
-checkout's Tier-1 suite (``python -m pytest -q --continue-on-collection-errors``
-with ``src`` on the path) and writes everything, with the checkout's commit
-and whether its tree was clean, to ``<out>/BENCH_<tag>.json`` (``out``
-defaults to the current directory).  Runs are sequential, one workload at a
-time; with one seed and 20 s per run, a record takes about 3 minutes on a
-2-CPU VM.  A before/after pair is two records from the same machine, the
-"before" made from a clean clone of the parent commit.
+checkout, for the ``run_seconds`` that the same file sets, and keeps the
+two lines it ends with, the environment record and the result, as it
+printed them (parsed, not edited).  Then it times the checkout's Tier-1
+suite (``python -m pytest -q --continue-on-collection-errors`` with
+``src`` on the path) and writes everything, with the checkout's commit and
+whether its tree was clean (``git status`` succeeded and listed no change
+to a tracked file), to ``<out>/BENCH_<tag>.json`` (``out`` defaults to the
+current directory).  Runs are sequential, one workload at a time; with one
+seed and 20 s per run, a record takes about 3 minutes on a 2-CPU VM.  A
+before/after pair is two records from the same machine, the "before" made
+from a clean clone of the parent commit.
 """
 
 from __future__ import annotations
@@ -27,10 +29,14 @@ import time
 from pathlib import Path
 
 
-def git(checkout: Path, *args: str) -> str:
-    done = subprocess.run(["git", *args], cwd=checkout, capture_output=True,
-                          text=True, timeout=30)
-    return done.stdout.strip() if done.returncode == 0 else ""
+def git(checkout: Path, *args: str) -> str | None:
+    """``git args`` in the checkout: its output, or None if git failed."""
+    try:
+        done = subprocess.run(["git", *args], cwd=checkout, capture_output=True,
+                              text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -64,20 +70,18 @@ def main(argv=None) -> int:
     ap.add_argument("--checkout", type=Path, required=True)
     ap.add_argument("--tag", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--out", type=Path, default=Path.cwd())
     args = ap.parse_args(argv)
     checkout = args.checkout.resolve()
-    workloads = [w["name"] for w in
-                 json.loads((checkout / "BENCHMARK.json").read_text())["workloads"]]
-    runs = [bench(checkout, w, seed, args.seconds)
-            for w in workloads for seed in args.seeds]
+    declared = json.loads((checkout / "BENCHMARK.json").read_text())
+    runs = [bench(checkout, w["name"], seed, declared["run_seconds"])
+            for w in declared["workloads"] for seed in args.seeds]
     commit = git(checkout, "rev-parse", "HEAD")
+    status = git(checkout, "status", "--porcelain", "--untracked-files=no")
     record = {
         "tag": args.tag,
         "commit": commit,
-        "clean": bool(commit) and not git(checkout, "status", "--porcelain",
-                                          "--untracked-files=no"),
+        "clean": commit is not None and status == "",
         "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "runs": runs,
         "tier1": tier1(checkout),
