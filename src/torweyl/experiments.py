@@ -271,8 +271,14 @@ def _rounding_floor(matrix: OperatorMatrix) -> float:
 def _measure(ctx: _TrialContext, matrix: OperatorMatrix,
              seed: int | None) -> TrialResult:
     """Eigenvalues, region count and boundary probes of one trial matrix,
-    all from its one Schur form."""
+    all from its one Schur form.
+
+    The matrix is released once its Schur form and eta are taken: each
+    probe copies T, and the caller's perturbed matrix has no other owner.
+    """
     form = schur(matrix)
+    eta = _rounding_floor(matrix)
+    del matrix
     eigs = eigenvalues(form)
     count = count_in_region(eigs, ctx.config.region)
     sig, logd = [], []
@@ -288,7 +294,7 @@ def _measure(ctx: _TrialContext, matrix: OperatorMatrix,
         relative_error=_relative_error(count, ctx.prediction),
         sigma_min_probes=tuple(sig),
         logdet_probes=tuple(logd),
-        eta=_rounding_floor(matrix),
+        eta=eta,
         eigvals=eigs,
     )
 

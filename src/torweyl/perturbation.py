@@ -275,10 +275,14 @@ def build_perturbed(P: OperatorMatrix, plan: PerturbationPlan,
     entries = np.array(P.entries, dtype=complex)
     if plan.delta != 0.0:
         conv = convolution_matrix(pot.q, grid)
+        # scaled in place, so no third N x N array is made; each entry is
+        # still P + (c conv), rounded as before
         if plan.mode == "derived":
-            entries += plan.delta * grid.h ** float(plan.n1) * conv
+            conv *= plan.delta * grid.h ** float(plan.n1)
+            entries += conv
         else:
             scale = pot.sup_q()
             if scale > 0.0:
-                entries += (plan.delta / scale) * conv
+                conv *= plan.delta / scale
+                entries += conv
     return OperatorMatrix(entries, grid)

@@ -734,17 +734,24 @@ def range_samples(spec: SymbolSpec, grid: PhaseGrid) -> np.ndarray:
     """Samples of p over the grid, decimated to about 200 000.
 
     Each block of _CHUNK_ROWS x-rows contributes every stride-th of its nodes
-    in row-major order, and only those nodes are evaluated.
+    in row-major order, and only those nodes are evaluated.  They are written
+    into one preallocated array: the working set is the samples plus one
+    block's coefficients, indices and values.
     """
     stride = max(1, grid.n_x * grid.n_xi // 200_000)
     x, xi, n = grid.x_nodes(), grid.xi_nodes(), grid.n_xi
-    out = []
-    for lo in range(0, grid.n_x, _CHUNK_ROWS):
+    starts = range(0, grid.n_x, _CHUNK_ROWS)
+    # a block of r rows yields ceil(r n / stride) samples
+    out = np.empty(sum(-(-min(_CHUNK_ROWS, grid.n_x - lo) * n // stride) for lo in starts),
+                   dtype=complex)
+    at = 0
+    for lo in starts:
         block = x[lo:lo + _CHUNK_ROWS]
         rows, cols = np.divmod(np.arange(0, len(block) * n, stride), n)
         coeffs = _coefficients(spec, block)
-        out.append(_horner([c[rows, 0] for c in coeffs], xi[cols]))
-    return np.concatenate(out)
+        out[at:at + len(rows)] = _horner([c[rows, 0] for c in coeffs], xi[cols])
+        at += len(rows)
+    return out
 
 
 def distance_to_samples(samples: np.ndarray, z) -> np.ndarray:
@@ -754,8 +761,11 @@ def distance_to_samples(samples: np.ndarray, z) -> np.ndarray:
     band.  The distance to every 64th sample bounds a point's distance from
     above, so its nearest sample lies in the bands and real-part windows
     within that bound, and only those candidates are measured.  The result
-    agrees with a scan over every sample (they measured bit-equal on the
-    acceptance config), without that scan's O(samples) work per point.
+    agrees with a scan over every sample bit for bit, without that scan's
+    O(samples) work per point.  The working set is the samples, their float
+    keys and the int64 sorting permutation, half the samples' bytes each:
+    the keys are built in preallocated arrays and sorted in place, and each
+    point gathers its candidates through the permutation.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     samples = np.asarray(samples, dtype=complex).ravel()
@@ -764,16 +774,20 @@ def distance_to_samples(samples: np.ndarray, z) -> np.ndarray:
     height = (samples.imag.max() - im_lo) / n_bands or 1.0
     width = 2.0 * ((samples.real.max() - re_lo) or 1.0)
 
-    def band(im):
-        return np.clip((im - im_lo) // height, 0, n_bands - 1)
+    # both work on scalars, or in place in ``out`` when it is given
+    def band(im, out=None):
+        b = np.floor_divide(np.subtract(im, im_lo, out=out), height, out=out)
+        return np.clip(b, 0, n_bands - 1, out=out)
 
-    def key(b, re):
+    def key(b, re, out=None):
         # the band index plus the real part mapped monotonely into [0, 1/2]
-        return b + np.clip((re - re_lo) / width, 0.0, 0.5)
+        part = np.divide(np.subtract(re, re_lo, out=out), width, out=out)
+        return np.add(b, np.clip(part, 0.0, 0.5, out=out), out=out)
 
-    keys = key(band(samples.imag), samples.real)
+    keys = key(band(samples.imag, np.empty(samples.size)), samples.real,
+               np.empty(samples.size))
     order = np.argsort(keys)
-    keys, ordered = keys[order], samples[order]
+    keys.sort()
     coarse = samples[::64]
     out = np.empty(z.shape, dtype=float)
     for i, zz in enumerate(z):
@@ -781,7 +795,7 @@ def distance_to_samples(samples: np.ndarray, z) -> np.ndarray:
         bands = np.arange(band(zz.imag - bound), band(zz.imag + bound) + 1)
         lo = np.searchsorted(keys, key(bands, zz.real - bound), "left")
         hi = np.searchsorted(keys, key(bands, zz.real + bound), "right")
-        near = np.concatenate([ordered[a:b] for a, b in zip(lo, hi)])
+        near = samples[np.concatenate([order[a:b] for a, b in zip(lo, hi)])]
         out[i] = np.min(np.abs(near - zz), initial=bound)
     return out
 

@@ -1,6 +1,7 @@
 """Experiment orchestration tests: trials, ensembles, line model, probes."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ from torweyl.experiments import (
     ExperimentConfig,
     InvalidConfigError,
     ResolutionError,
+    _context_for_h,
+    _run_trial_in_context,
     boundary_probes,
     line_count_in_region,
     line_model_check,
@@ -36,6 +39,7 @@ from torweyl.symbols import (
     TrigPoly,
     catalog_symbol,
     certified_xi_bound,
+    range_samples,
     volume_preimage,
 )
 
@@ -243,6 +247,56 @@ class TestRunEnsemble:
         preds = {rec.h: rec.prediction for rec in rep.per_h}
         rows = [line.split(",") for line in lines[2:]]
         assert all(float(row[4]) == preds[float(row[0])] for row in rows)
+
+
+def traced_peak(fn, *args):
+    """fn(*args), and the peak of the memory tracemalloc traces while it
+    runs, above the memory traced at its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestMemoryBudget:
+    # budgets from the array sizes of the acceptance setup; each call runs
+    # once untraced first, so lazy imports and caches stay out of the peak
+
+    def test_range_samples_are_held_once(self, acceptance_config):
+        # the samples and one block of x-rows' work, never the samples twice
+        # (as blocks joined by np.concatenate would hold them)
+        grid = validate_config(acceptance_config).vol_grid
+        samples, peak = traced_peak(range_samples, acceptance_config.spec, grid)
+        assert peak < 2 * samples.nbytes
+
+    def test_range_check_holds_samples_keys_and_permutation(self, acceptance_config):
+        # the samples, their float keys and the int64 permutation: 2x the
+        # samples' bytes, with no sorted copy of the samples
+        info = validate_config(acceptance_config)
+        samples = range_samples(acceptance_config.spec, info.vol_grid).nbytes
+        _, peak = traced_peak(validate_config, acceptance_config)
+        assert peak <= 2.5 * samples
+
+    def test_trial_holds_two_matrices(self, acceptance_config):
+        # P + c conv is built with two N x N arrays live, and the Schur form
+        # needs A, T and zgees' workspace; A is gone before T is copied for
+        # the probes
+        from scipy.linalg import lapack
+
+        info = validate_config(acceptance_config)
+        ctx = _context_for_h(acceptance_config, 0.01, info, 1.0)
+        n = ctx.grid.N
+        assert n == 447
+        _run_trial_in_context(ctx, 0)
+        trial, peak = traced_peak(_run_trial_in_context, ctx, 0)
+        assert trial.error is None
+        # zgees gets the workspace np.linalg.eig's zgeev asks for
+        lwork = int(lapack.zgeev_lwork(n, compute_vl=0, compute_vr=1)[0].real)
+        assert peak <= 2 * 16 * n * n + 16 * lwork + 2**20
 
 
 class TestLineModel:

@@ -327,6 +327,9 @@ def scan_distance(samples, z):
 
 
 class TestDistanceToSamples:
+    # the band search measures the same |s - z| values as the scan, so the
+    # distances are equal bit for bit, not just close
+
     def test_matches_scan_for_array_z(self):
         rng = np.random.default_rng(11)
         samples = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
@@ -335,17 +338,15 @@ class TestDistanceToSamples:
         got = distance_to_samples(samples, z)
         assert got.shape == z.shape
         assert np.all(got[:3] == 0.0)
-        np.testing.assert_allclose(got, scan_distance(samples, z),
-                                   rtol=0.0, atol=1e-15)
+        assert np.array_equal(got, scan_distance(samples, z))
 
     def test_matches_scan_for_samples_on_a_line(self):
         # every sample has the same imaginary part: one band of zero height
         rng = np.random.default_rng(13)
         samples = rng.standard_normal(500) + 0.25j
         z = rng.standard_normal(50) + 1j * rng.standard_normal(50)
-        np.testing.assert_allclose(distance_to_samples(samples, z),
-                                   scan_distance(samples, z),
-                                   rtol=0.0, atol=1e-15)
+        assert np.array_equal(distance_to_samples(samples, z),
+                              scan_distance(samples, z))
         assert distance_to_samples(samples[:1], z[:1])[0] == abs(samples[0] - z[0])
 
     def test_matches_scan_for_scalar_z(self):
@@ -353,4 +354,34 @@ class TestDistanceToSamples:
         samples = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
         got = distance_to_samples(samples, 0.3 - 1.7j)
         assert got.shape == (1,)
-        assert abs(got[0] - scan_distance(samples, 0.3 - 1.7j)[0]) <= 1e-15
+        assert got[0] == scan_distance(samples, 0.3 - 1.7j)[0]
+
+    def test_matches_scan_on_random_sample_sets(self):
+        # clouds of varied size, shape and spread, queried inside and around
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            n = int(rng.integers(1, 5000))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            samples = scale * (rng.standard_normal(n)
+                               + 1j * rng.uniform(0.1, 10.0) * rng.standard_normal(n))
+            z = 2.0 * scale * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+            assert np.array_equal(distance_to_samples(samples, z),
+                                  scan_distance(samples, z))
+
+    def test_matches_scan_on_acceptance_config(self, acceptance_config,
+                                               monkeypatch):
+        # validate_config's own range samples and query points
+        from torweyl import experiments
+
+        calls = []
+
+        def record(samples, z):
+            calls.append((samples, z))
+            return distance_to_samples(samples, z)
+
+        monkeypatch.setattr(experiments, "distance_to_samples", record)
+        experiments.validate_config(acceptance_config)
+        (samples, z), = calls
+        assert (samples.size, z.size) == (209_720, 640)
+        assert np.array_equal(distance_to_samples(samples, z),
+                              scan_distance(samples, z))
