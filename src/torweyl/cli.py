@@ -660,21 +660,22 @@ def _reuse_heap() -> None:
     accident.  Measured per iteration of the benchmark workloads (minor
     page faults, in-process loop of ``main`` calls after one warm-up call,
     2-CPU x86-64 VM with glibc 2.36), with these settings ``phase-volumes``
-    took 2-8 faults and 0.17-0.23 s, and ``weyl-acceptance`` 0-12 faults
-    and 0.39-0.55 s.  Otherwise:
+    took 2-8 faults and 0.17-0.23 s, and ``weyl-acceptance`` 0-10 faults
+    (719 in the first timed iteration) and 0.30-0.35 s.  Otherwise:
 
     - left alone, ``phase-volumes`` took 9.3k-9.4k faults and 0.20-0.24 s:
       the pruned volume sweep's tile heads, sub-tile heads and yielded
       arrays are of 128 KiB at most (symbols._HEADS, _PAIRS and _PIECE),
       and those of exactly 128 KiB are each mapped afresh;
-      ``weyl-acceptance`` took 4.4k;
+      ``weyl-acceptance`` took 2.3k and 0.32-0.36 s;
     - an explicit threshold stops the rise, so a small one is worse: at
-      1 MiB the N = 447 trial matrices (3.2 MB) were mapped afresh each time,
-      and ``weyl-acceptance`` took 22.2k faults;
+      1 MiB (the trim threshold still raised) the N = 447 trial matrices
+      (3.2 MB) were mapped afresh each time, and ``weyl-acceptance`` took
+      16.8k-17.0k faults and 0.34-0.36 s;
     - an explicit threshold also stops the trim threshold from following at
       twice its value, and left at 128 KiB it returns the top of the heap to
       the system at every step: 10.0k faults on ``phase-volumes`` and
-      16.9k-17.9k on ``weyl-acceptance``.
+      15.2k and 0.33-0.35 s on ``weyl-acceptance``.
 
     32 MiB is glibc's own ceiling for the rising threshold, and 64 MiB twice
     that.  Other C libraries are left as they are.
