@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +43,6 @@ from torweyl.symbols import (
 )
 
 TWO_PI = 2.0 * math.pi
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def scan_distance(samples, z):
@@ -122,27 +120,14 @@ class TestConfigValidation:
         info = validate_config(cfg)
         assert any("tube" in w for w in info.warnings)
 
-    def test_outcomes_match_scan(self, monkeypatch, tmp_path):
+    def test_outcomes_match_scan(self, monkeypatch, weyl_config):
         # the band-sorted distances give the errors and warnings that a scan
         # over every range sample gives: on the shipped weyl configs, as the
         # CLI parses them, and on the two configs above whose outcome rests
         # on those distances
-        from torweyl import cli, experiments
+        from torweyl import experiments
 
-        class Captured(Exception):
-            pass
-
-        def capture(config, workers=1):
-            raise Captured(config)
-
-        configs = []
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "run_ensemble", capture)
-            for name in ("weyl_acceptance.cfg", "weyl_small.cfg"):
-                with pytest.raises(Captured) as caught:
-                    cli.main(["weyl-ensemble", "--config", str(CONFIGS / name),
-                              "--out", str(tmp_path)])
-                configs.append(caught.value.args[0])
+        configs = [weyl_config("weyl_acceptance.cfg"), weyl_config("weyl_small.cfg")]
         configs += [small_config(omega=Rectangle(0.1, 1.0, -0.5, 0.5)),
                     small_config(region=Rectangle(0.2, 0.8, -0.97, 0.97),
                                  omega=Rectangle(-0.3, 1.5, -1.4, 1.4))]
