@@ -7,9 +7,13 @@ flag overrides and defaults all follow from that table.  All randomness
 flows from seeds in the config or flags; nothing is ever seeded from the
 clock, so equal invocations write equal bytes.
 
-Exit codes: 0 success, 2 config error (including out-of-range or non-finite
-values, a repeated --h on a single-h command and a matrix dimension above
-4096), 3 numeric failure.
+Exit codes, decided in ``main`` alone by the class of the error: 0 success,
+3 numeric failure (a solver or an SVD that fails, a singular shift, a
+degenerate gap or fit, an unresolved quasimode, an arithmetic error), and 2
+for any other ValueError, a bad input value: out of range or not finite, a
+repeated --h on a single-h command, N above 4096, a coefficient wider than
+2K, no certified xi-slab, a malformed symbol file, a non-integer or repeated
+frequency in line.g_coeffs.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .experiments import (
     ExperimentConfig,
     InvalidConfigError,
     ResolutionError,
-    config_object,
     line_count_in_region,
     line_model_check,
     run_ensemble,
@@ -45,7 +48,6 @@ from .operators import (
     truncation_grid,
 )
 from .perturbation import (
-    ParameterError,
     build_perturbed,
     derive_params,
     sample_potential,
@@ -83,15 +85,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+# caught before ValueError, which several of them subclass
 _NUMERIC_ERRORS = (
     SolverError, SingularMatrixError, DegenerateGapError, DegenerateFitError,
-    ContainmentError, ResolutionError, ArithmeticError,
+    ResolutionError, np.linalg.LinAlgError, ArithmeticError,
 )
-_CONFIG_ERRORS = (InvalidConfigError, ParameterError)
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -101,21 +99,22 @@ class ConfigError(ValueError):
 def parse_config(path: Path) -> dict[str, tuple[str, int]]:
     """Read `key = value` lines; returns key -> (value, line number)."""
     if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise InvalidConfigError(f"config file not found: {path}")
     out: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise InvalidConfigError(
+                f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
         value = value.strip()
         if not key:
-            raise ConfigError(f"line {lineno}: empty key")
+            raise InvalidConfigError(f"line {lineno}: empty key")
         if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise InvalidConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = (value, lineno)
     return out
 
@@ -214,11 +213,16 @@ def point(raw: str) -> complex:
 
 
 def trig_poly(raw: str) -> TrigPoly:
+    """Flat ``k re im`` triples, each integer frequency k given once."""
     flat = finite_list(raw)
     if not flat or len(flat) % 3 != 0:
         raise ValueError("expected flat k re im triples")
-    return TrigPoly({int(flat[i]): complex(flat[i + 1], flat[i + 2])
-                     for i in range(0, len(flat), 3)})
+    coeffs: dict[int, complex] = {}
+    for k, re, im in zip(flat[::3], flat[1::3], flat[2::3]):
+        if not k.is_integer() or int(k) in coeffs:
+            raise ValueError(f"frequency {k:g}: expected integers, each once")
+        coeffs[int(k)] = complex(re, im)
+    return TrigPoly(coeffs)
 
 
 SYMBOL = {"symbol.model": Key(catalog_symbol), "symbol.file": Key(symbol_file)}
@@ -230,7 +234,7 @@ def read_keys(cfg: dict, table: dict[str, Key], args) -> dict[str, Any]:
     """The config's values by key, parsed, overridden by flags, defaulted."""
     for name, (_, lineno) in cfg.items():
         if name not in table:
-            raise ConfigError(f"line {lineno}: unknown key {name!r}")
+            raise InvalidConfigError(f"line {lineno}: unknown key {name!r}")
     out: dict[str, Any] = {}
     for name, key in table.items():
         if name in cfg:
@@ -238,13 +242,14 @@ def read_keys(cfg: dict, table: dict[str, Key], args) -> dict[str, Any]:
             try:
                 out[name] = key.parse(raw)
             except (ValueError, KeyError, ZeroDivisionError) as exc:
-                raise ConfigError(f"line {lineno}: key {name!r}: {exc}") from exc
+                raise InvalidConfigError(
+                    f"line {lineno}: key {name!r}: {exc}") from exc
         flag = getattr(args, key.flag) if key.flag else None
         if isinstance(flag, list):          # --h, the one repeatable flag
             if key.parse is finite_list:
                 flag = tuple(flag)
             elif len(flag) > 1:
-                raise ConfigError(
+                raise InvalidConfigError(
                     f"--h given {len(flag)} times, but {name} takes one h")
             else:
                 flag = flag[0]
@@ -252,7 +257,7 @@ def read_keys(cfg: dict, table: dict[str, Key], args) -> dict[str, Any]:
             out[name] = flag
         elif name not in out:
             if key.default is REQUIRED:
-                raise ConfigError(f"missing required key {name!r}")
+                raise InvalidConfigError(f"missing required key {name!r}")
             if key.field is None:
                 out[name] = key.default
     return out
@@ -262,9 +267,9 @@ def one_of(values: dict, first: str, second: str, required: bool = True):
     """The value of whichever of two alternative keys is given."""
     a, b = values[first], values[second]
     if a is not None and b is not None:
-        raise ConfigError(f"give {first} or {second}, not both")
+        raise InvalidConfigError(f"give {first} or {second}, not both")
     if a is None and b is None and required:
-        raise ConfigError(f"missing {first} or {second}")
+        raise InvalidConfigError(f"missing {first} or {second}")
     return a if a is not None else b
 
 
@@ -320,13 +325,13 @@ def cmd_volume(v: dict, out_dir: Path) -> int:
         try:
             admissible_h(h)
         except ValueError as exc:
-            raise ConfigError(f"volume.h: {exc}") from None
+            raise InvalidConfigError(f"volume.h: {exc}") from None
     if not 0.0 < t_lo < t_hi:
-        raise ConfigError(f"kappa.t_lo = {t_lo!r}, kappa.t_hi = {t_hi!r}: "
-                          "need 0 < t_lo < t_hi")
+        raise InvalidConfigError(f"kappa.t_lo = {t_lo!r}, kappa.t_hi = "
+                                 f"{t_hi!r}: need 0 < t_lo < t_hi")
     spec = one_of(v, "symbol.model", "symbol.file")
     region = one_of(v, "region.rect", "region.disk")
-    grid = config_object(default_grid, spec, region, v["grid.n_x"], v["grid.n_xi"])
+    grid = default_grid(spec, region, v["grid.n_x"], v["grid.n_xi"])
     vol = volume_preimage(spec, region, grid)
     payload = {
         "schema": "torweyl.volume.v1",
@@ -349,7 +354,7 @@ def cmd_volume(v: dict, out_dir: Path) -> int:
             kap, r2 = estimate_kappa(spec, z, t_lo=t_lo, t_hi=t_hi,
                                      n_points=v["kappa.points_n"])
         except ContainmentError as exc:
-            raise ConfigError(
+            raise InvalidConfigError(
                 f"kappa.z = {z}, kappa.t_hi = {t_hi!r}: no xi-slab provably "
                 f"holds the preimage of the disk |w - kappa.z| <= "
                 f"sqrt(kappa.t_hi): {exc}") from None
@@ -380,8 +385,7 @@ def cmd_spectrum(v: dict, out_dir: Path) -> int:
     spec = one_of(v, "symbol.model", "symbol.file")
     region = one_of(v, "region.rect", "region.disk")
     h = v["grid.h"]
-    bound = config_object(certified_xi_bound, spec, region)
-    grid = config_object(truncation_grid, h, bound, v["grid.k_rule"])
+    grid = truncation_grid(h, certified_xi_bound(spec, region), v["grid.k_rule"])
     P = assemble_differential(spec, grid)
     tag = f"{h:g}"
     # one Schur form per matrix gives its eigenvalues and the resolvent floor
@@ -395,7 +399,7 @@ def cmd_spectrum(v: dict, out_dir: Path) -> int:
     seed = v["perturb.seed"]
     if seed is not None:
         plan = derive_params(
-            n=1, s="2", epsilon="0.5", kappa=config_object(kappa_floor, spec),
+            n=1, s="2", epsilon="0.5", kappa=kappa_floor(spec),
             h=h, mode=v["perturb.mode"], delta_eff=v["perturb.delta_eff"],
             l_cap=h * grid.K,
         )
@@ -486,7 +490,7 @@ LINE_CHECK = {
 
 def cmd_line_check(v: dict, out_dir: Path) -> int:
     g, h, k_max = v["line.g_coeffs"], v["line.h"], v["line.k_max"]
-    grid = config_object(GridParams, h=h, K=v["line.grid_K"])
+    grid = GridParams(h=h, K=v["line.grid_K"])
     result = line_model_check(g, h, k_max, grid)
     payload = {
         "schema": "torweyl.linecheck.v1",
@@ -699,12 +703,12 @@ def main(argv=None) -> int:
     try:
         values = read_keys(parse_config(Path(args.config)), table, args)
         return run(values, Path(args.out))
-    except (ConfigError, *_CONFIG_ERRORS) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

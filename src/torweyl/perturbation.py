@@ -153,10 +153,7 @@ def derive_params(
         )
     if not (0 < kap_f <= 1):
         raise ParameterError(f"need kappa in (0, 1], got {kap_f}")
-    try:
-        admissible_h(h)
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from None
+    admissible_h(h)
     if tau0 is None:
         tau0 = math.sqrt(h)
     if not (0.0 < tau0 <= math.sqrt(h)):

@@ -44,39 +44,53 @@ def dumps_symbol(spec: SymbolSpec) -> str:
 
 
 def loads_symbol(text: str) -> SymbolSpec:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != SYMBOL_HEADER:
+    """The symbol of a text in ``dumps_symbol``'s format.
+
+    The header, ``m <m>``, and sections ``alpha <a> real <0|1>``, one for
+    each a in 0..m, and ``correction <a> real <0|1>``, at most one for each,
+    each followed by lines ``k re im``: an integer k, given once, and a
+    finite amplitude.  Anything else raises ValueError naming the line.
+    The sections, never the declared m, size what is built.
+    """
+    rows = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1)
+            if ln.strip()]
+    if not rows or rows[0][1] != SYMBOL_HEADER.split():
         raise ValueError(f"expected leading {SYMBOL_HEADER!r} line")
-    if not lines[1].startswith("m "):
-        raise ValueError("expected symbol order line 'm <int>'")
-    m = int(lines[1].split()[1])
-    coeffs: list[dict[int, complex]] = [dict() for _ in range(m + 1)]
-    flags = [False] * (m + 1)
-    corrections: list[dict[int, complex]] | None = None
-    corr_flags = [False] * (m + 1)
-    current: dict[int, complex] | None = None
-    for ln in lines[2:]:
-        parts = ln.split()
-        if parts[0] == "alpha":
-            alpha = int(parts[1])
-            flags[alpha] = bool(int(parts[3]))
-            current = coeffs[alpha]
-        elif parts[0] == "correction":
-            if corrections is None:
-                corrections = [dict() for _ in range(m + 1)]
-            alpha = int(parts[1])
-            corr_flags[alpha] = bool(int(parts[3]))
-            current = corrections[alpha]
-        else:
-            if current is None:
-                raise ValueError(f"coefficient line before any section: {ln!r}")
-            k, re, im = int(parts[0]), float(parts[1]), float(parts[2])
-            current[k] = complex(re, im)
-    a = tuple(TrigPoly(c, real=f) for c, f in zip(coeffs, flags))
-    hc = None
-    if corrections is not None:
-        hc = tuple(TrigPoly(c, real=f) for c, f in zip(corrections, corr_flags))
-    return SymbolSpec(m=m, a=a, h_corrections=hc)
+    order = rows[1][1] if len(rows) > 1 else []
+    if len(order) != 2 or order[0] != "m" or not order[1].isdecimal():
+        raise ValueError("expected the order line 'm <m>' after the header")
+    m, sections, current = int(order[1]), {}, None
+    for no, parts in rows[2:]:
+        try:
+            if parts[0] in ("alpha", "correction"):
+                if len(parts) != 4 or parts[2:] not in (["real", "0"], ["real", "1"]):
+                    raise ValueError(f"expected '{parts[0]} <a> real <0|1>'")
+                key = (parts[0], int(parts[1]))
+                if not 0 <= key[1] <= m:
+                    raise ValueError(f"index outside 0..{m}")
+                if key in sections:
+                    raise ValueError("section given twice")
+                current = sections[key] = (parts[3] == "1", {})
+            elif current is None:
+                raise ValueError("coefficient line before any section")
+            elif len(parts) != 3:
+                raise ValueError("expected a coefficient line 'k re im'")
+            else:
+                k, c = int(parts[0]), complex(float(parts[1]), float(parts[2]))
+                if not np.isfinite(c):
+                    raise ValueError("amplitude is not finite")
+                if k in current[1]:
+                    raise ValueError(f"frequency {k} given twice")
+                current[1][k] = c
+        except ValueError as exc:
+            raise ValueError(f"symbol line {no} {' '.join(parts)!r}: {exc}") from None
+    # the indices are distinct and in 0..m, so m + 1 of them are all of 0..m
+    if sum(kind == "alpha" for kind, _ in sections) != m + 1:
+        raise ValueError(f"expected an 'alpha <a>' section for each a in 0..{m}")
+    polys = {key: TrigPoly(c, real=real) for key, (real, c) in sections.items()}
+    hc = tuple(polys.get(("correction", a), TrigPoly.zero()) for a in range(m + 1))
+    return SymbolSpec(m=m, a=tuple(polys["alpha", a] for a in range(m + 1)),
+                      h_corrections=hc if len(polys) > m + 1 else None)
 
 
 # ---------------------------------------------------------------------------

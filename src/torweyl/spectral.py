@@ -335,20 +335,32 @@ def count_in_region(eigs: np.ndarray, region: Region) -> int:
     return int(np.count_nonzero(region.contains(eigs)))
 
 
-def singular_values(op, z: complex) -> float:
-    """Smallest singular value of M - z.
+def singular_values(op, shifts: Sequence[complex]) -> list[float]:
+    """Smallest singular value of M - z for each shift z.
 
-    From a Schur form, sigma_min(T - z) by inverse iteration (see
-    ``pseudospectrum``); from a plain matrix, by a dense SVD.
+    From a Schur form, sigma_min(T - z) by inverse iteration on one working
+    copy of T, made only if there is a shift (see ``pseudospectrum``); from
+    a plain matrix, by a dense SVD per shift.
     """
     if isinstance(op, SchurForm):
-        return _sigma_mins(op, [z])[0]
+        if len(shifts) == 0:
+            return []
+        diag = np.diag(op.entries).copy()
+        t = np.array(op.entries, order="F")
+        y = np.empty(len(diag), dtype=complex)
+        solve = _triangular_solver(t, y)
+        start = _start_vector(len(diag))
+        out = []
+        for z in shifts:
+            np.fill_diagonal(t, diag - z)
+            out.append(_sigma_min_triangular(t, start, y, solve))
+        return out
     a = _as_matrix(op)
     try:
-        sv = np.linalg.svd(a - z * np.eye(a.shape[0]), compute_uv=False)
+        return [float(np.linalg.svd(a - z * np.eye(len(a)), compute_uv=False)[-1])
+                for z in shifts]
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"SVD did not converge: {exc}") from exc
-    return float(sv[-1])
 
 
 def log_abs_det(op, z: complex = 0.0) -> float:
@@ -372,7 +384,7 @@ def log_abs_det(op, z: complex = 0.0) -> float:
     if np.any(diag == 0.0):
         raise SingularMatrixError(
             f"M - z is singular to working precision (smallest singular "
-            f"value {singular_values(op, z):.3e})"
+            f"value {singular_values(op, [z])[0]:.3e})"
         )
     return float(np.sum(np.log(diag)))
 
@@ -566,22 +578,7 @@ def pseudospectrum(op, z_grid: Sequence[complex]) -> list[float]:
         form = _as_form(op)
     except SolverError:
         return [float("nan") for _ in z_grid]
-    return _sigma_mins(form, z_grid)
-
-
-def _sigma_mins(form: SchurForm, z_grid: Sequence[complex]) -> list[float]:
-    """sigma_min(T - z) for each z, on one working copy of T whose diagonal
-    is set to diag(T) - z for each point in turn."""
-    diag = np.diag(form.entries).copy()
-    t = np.array(form.entries, order="F")
-    y = np.empty(len(diag), dtype=complex)
-    solve = _triangular_solver(t, y)
-    start = _start_vector(len(diag))
-    out = []
-    for z in z_grid:
-        np.fill_diagonal(t, diag - z)
-        out.append(_sigma_min_triangular(t, start, y, solve))
-    return out
+    return singular_values(form, z_grid)
 
 
 @functools.cache

@@ -298,6 +298,24 @@ LINE_SHIPPED = {name: value for name, (value, _)
                 in parse_config(CONFIGS / "line_check.cfg").items()}
 
 
+def by_file(entries: dict, text: str) -> dict:
+    """The entries with their symbol.model replaced by a symbol file whose
+    text is ``text`` (written by the test that reads the entries)."""
+    return {**{k: v for k, v in entries.items() if k != "symbol.model"},
+            "symbol.file": text}
+
+
+# xi^2 + e^{ix} + e^{400ix}/100: elliptic and even, but wider than any 2K the
+# tiny configs' grids reach
+WIDE_SYMBOL = dumps_symbol(SymbolSpec(m=2, a=(
+    TrigPoly({1: 1.0 + 0j, 400: 0.01 + 0j}), TrigPoly.zero(),
+    TrigPoly.constant(1.0))))
+# xi + e^{-ix} with its top section numbered -1, which a list index would
+# read as the top section
+NEGATIVE_SECTION = dumps_symbol(catalog_symbol("xi+exp(-ix)")).replace(
+    "alpha 1 ", "alpha -1 ")
+
+
 def write_cfg(tmp_path, entries: dict) -> Path:
     path = tmp_path / "case.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
@@ -394,12 +412,39 @@ class TestBadNumbers:
          "key 'checks.fu_trials_n'"),
         ("line-check", {**LINE_SHIPPED, "line.trials_n": "0"}, [],
          "key 'line.trials_n'"),
+        # a coefficient wider than 2K, in each command that builds a grid
+        ("spectrum", by_file(SPECTRUM_TINY, WIDE_SYMBOL), [],
+         "coefficient a_0 has bandwidth 400 > 2K = 42"),
+        ("weyl-ensemble", by_file(WEYL_TINY, WIDE_SYMBOL), [],
+         "coefficient a_0 has bandwidth 400 > 2K"),
+        ("line-check", {"line.g_coeffs": "300 1 0", "line.grid_K": "96"}, [],
+         "coefficient a_0 has bandwidth 300 > 2K = 192"),
+        # malformed symbol files
+        ("volume", by_file(VOLUME_TINY, "symbol v1\n"), [],
+         "expected the order line 'm <m>'"),
+        ("volume", by_file(VOLUME_TINY, "symbol v1\nm 1\nalpha 0\n"), [],
+         "symbol line 3 'alpha 0': expected 'alpha <a> real <0|1>'"),
+        ("volume", by_file(VOLUME_TINY, "symbol v1\nm 1\nalpha 5 real 0\n"),
+         [], "symbol line 3 'alpha 5 real 0': index outside 0..1"),
+        ("volume", by_file(VOLUME_TINY, "symbol v1\nm 1\nalpha 0 real 0\n1 1\n"),
+         [], "symbol line 4 '1 1': expected a coefficient line 'k re im'"),
+        ("volume", by_file(VOLUME_TINY, NEGATIVE_SECTION), [],
+         "symbol line 5 'alpha -1 real 1': index outside 0..1"),
+        # frequencies of line.g_coeffs are integers, each given once
+        ("line-check", {"line.g_coeffs": "1.5 1 0"}, [],
+         "key 'line.g_coeffs': frequency 1.5: expected integers, each once"),
+        ("line-check", {"line.g_coeffs": "1 1 0 1 2 0"}, [],
+         "key 'line.g_coeffs': frequency 1: expected integers, each once"),
     ])
     def test_exit_config(self, capsys, tmp_path, command, entries, flags,
                          needle):
         if entries is None:
             cfg = CONFIGS / {v: k for k, v in SHIPPED.items()}[command]
         else:
+            if "symbol.file" in entries:    # the row gives the file's text
+                path = tmp_path / "p.sym"
+                path.write_text(entries["symbol.file"])
+                entries = {**entries, "symbol.file": str(path)}
             cfg = write_cfg(tmp_path, entries)
         code, _, err = run(capsys, command, "--config", str(cfg),
                            "--out", str(tmp_path / "out"), *flags)

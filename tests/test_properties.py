@@ -1,5 +1,6 @@
-"""Property tests: TrigPoly algebra, the symbol text round trip, the
-Toeplitz build of convolution matrices and the pruned phase-space sweep."""
+"""Property tests: TrigPoly algebra, the symbol text round trip and the
+parse of arbitrary symbol text, the Toeplitz build of convolution matrices
+and the pruned phase-space sweep."""
 
 import cmath
 import math
@@ -90,11 +91,53 @@ class TestTrigPolyAlgebra:
         assert close(a.scaled(factor)(X), factor * a(X))
 
 
+# the words of a symbol file, and numbers and text that do not belong there
+small_ints = st.integers(-2, 3).map(str)
+numbers = st.one_of(st.floats().map(repr), small_ints,
+                    st.sampled_from(["1e999", "1_0", "0x1", "", "-"]))
+symbol_lines = st.one_of(
+    st.builds("m {}".format, st.one_of(small_ints, st.just("1000000000"))),
+    st.builds("{} {} {} {}".format, st.sampled_from(["alpha", "correction"]),
+              small_ints, st.sampled_from(["real", "imag"]),
+              st.sampled_from(["0", "1", "2", ""])),
+    st.builds("{} {} {}".format, small_ints, numbers, numbers),
+    st.lists(st.one_of(numbers, st.text(max_size=4)), max_size=4).map(" ".join),
+)
+
+
+@st.composite
+def symbol_texts(draw):
+    """Arbitrary lines after a header, or a written symbol with a few
+    arbitrary lines spliced in (none, often, so that some texts parse)."""
+    if draw(st.booleans()):
+        head = draw(st.sampled_from(["symbol v1", "symbol", ""]))
+        return "\n".join([head, *draw(st.lists(symbol_lines, max_size=8))])
+    lines = serialize.dumps_symbol(draw(symbol_specs())).splitlines()
+    cut = draw(st.integers(0, len(lines)))
+    extra = draw(st.lists(symbol_lines, max_size=2))
+    return "\n".join(lines[:cut] + extra + lines[cut:])
+
+
 class TestRoundTrips:
     @SETTINGS
     @given(symbol_specs())
     def test_symbol(self, spec):
         assert serialize.loads_symbol(serialize.dumps_symbol(spec)) == spec
+
+    @SETTINGS
+    @given(symbol_texts())
+    @example("symbol v1")
+    @example("symbol v1\nm 1\nalpha 0")
+    @example("symbol v1\nm 1\nalpha 5 real 0")
+    @example("symbol v1\nm 1\nalpha 0 real 0\n1 1")
+    @example("symbol v1\nm 1\nalpha -1 real 0")
+    @example("symbol v1\nm 1000000000\nalpha 0 real 0")
+    def test_symbol_text_parses_or_raises_value_error(self, text):
+        try:
+            spec = serialize.loads_symbol(text)
+        except ValueError:
+            return
+        assert isinstance(spec, SymbolSpec)
 
 
 def convolution_matrix_by_loop(u: TrigPoly, grid: GridParams) -> np.ndarray:

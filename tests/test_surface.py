@@ -12,7 +12,6 @@ benchmark uses.
 The last two checks scan the library, ``perfbench/``, ``tools/`` and
 ``tests/test_acceptance.py``, and match calls, reads and uses by name.
 
-- A call ``config_object(f, ...)`` counts as a call of ``f``.
 - A call that passes on a defaulted parameter of its own function sets the
   callee's parameter only where that parameter is set.
 - A ``*`` splat sets every position from its own on, and a ``**`` splat
@@ -144,8 +143,6 @@ def _calls(tree: ast.Module):
             return None
 
         name, args = _callee(node.func), node.args
-        if name == "config_object" and args:
-            name, args = _callee(args[0]), args[1:]
         star = next((i for i, a in enumerate(args)
                      if isinstance(a, ast.Starred)), None)
         positional = [source(a) for a in args[:star]]
