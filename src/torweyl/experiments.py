@@ -23,6 +23,7 @@ from .operators import (
     OperatorMatrix,
     assemble_differential,
     assemble_toroidal_pdo,
+    differential_terms,
     truncation_grid,
 )
 from .perturbation import (
@@ -210,10 +211,12 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class _TrialContext:
+    """What the trials of one h share.  It holds no matrix: each trial
+    assembles its own P and drops it once perturbed."""
+
     config: ExperimentConfig
     h: float
     grid: GridParams
-    P: OperatorMatrix
     plan: PerturbationPlan
     prediction: float
     z_probes: tuple[complex, ...]
@@ -222,9 +225,10 @@ class _TrialContext:
 def _context_for_h(config: ExperimentConfig, h: float, info: ValidationInfo,
                    volume: float) -> _TrialContext:
     """Everything one h needs; ``volume`` is vol(p^{-1}(region)), which
-    does not depend on h."""
+    does not depend on h.  A coefficient too wide for this h's grid raises
+    BandwidthError here, before any trial runs."""
     grid = truncation_grid(h, info.vol_grid.xi_hi, config.k_rule)
-    P = assemble_differential(config.spec, grid)
+    differential_terms(config.spec, grid)
     plan = derive_params(
         n=1,
         s=config.s,
@@ -237,7 +241,7 @@ def _context_for_h(config: ExperimentConfig, h: float, info: ValidationInfo,
         l_cap=h * grid.K,
     )
     return _TrialContext(
-        config=config, h=h, grid=grid, P=P, plan=plan,
+        config=config, h=h, grid=grid, plan=plan,
         prediction=weyl_prediction(volume, h),
         z_probes=boundary_probes(config.region, config.n_probes),
     )
@@ -291,7 +295,10 @@ def _run_trial_in_context(ctx: _TrialContext, trial_index: int) -> TrialResult:
     seed = split_seed(ctx.config.master_seed, trial_index)
     try:
         pot = sample_potential(ctx.plan, seed)
-        return _measure(ctx, build_perturbed(ctx.P, ctx.plan, pot), seed)
+        # no name holds P or the perturbed matrix: P goes once it is
+        # perturbed, and _measure releases the perturbed matrix
+        return _measure(ctx, build_perturbed(
+            assemble_differential(ctx.config.spec, ctx.grid), ctx.plan, pot), seed)
     except Exception as exc:  # a failed trial is recorded, never dropped
         return TrialResult(
             seed=seed, count=-1, relative_error=math.nan,
@@ -302,7 +309,7 @@ def _run_trial_in_context(ctx: _TrialContext, trial_index: int) -> TrialResult:
 
 def _baseline_trial(ctx: _TrialContext) -> TrialResult:
     """Unperturbed operator, run first: isolates truncation artifacts."""
-    return _measure(ctx, ctx.P, None)
+    return _measure(ctx, assemble_differential(ctx.config.spec, ctx.grid), None)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,12 @@ class OperatorMatrix:
 
 
 def convolution_matrix(u: TrigPoly, grid: GridParams, *, label: str = "q") -> np.ndarray:
-    """Toeplitz matrix of multiplication by u: entry (j, k) = c_{j-k}."""
+    """Toeplitz matrix of multiplication by u: entry (j, k) = c_{j-k}.
+
+    A read-only view of the 2N - 1 values c_{-(N-1)}..c_{N-1}, so building
+    it costs O(N) memory; a caller that needs a matrix of its own copies it,
+    or adds the view into one.
+    """
     if u.bandwidth > 2 * grid.K:
         raise BandwidthError(
             f"coefficient {label} has bandwidth {u.bandwidth} > 2K = {2 * grid.K}"
@@ -111,26 +116,37 @@ def convolution_matrix(u: TrigPoly, grid: GridParams, *, label: str = "q") -> np
     # vals = c_{-(N-1)}..c_{N-1}, so entry (j, k) = vals[N - 1 + j - k]: row j
     # is the window of vals starting at j, read backwards
     vals = np.concatenate((row[:0:-1], col))
-    return np.lib.stride_tricks.sliding_window_view(vals, grid.N)[:, ::-1].copy()
+    return np.lib.stride_tricks.sliding_window_view(vals, grid.N)[:, ::-1]
+
+
+def differential_terms(spec: SymbolSpec, grid: GridParams) -> list[tuple[np.ndarray, int]]:
+    """(Toeplitz view, power of xi) of each nonzero term of sum_a a_a(x) (hD)^a,
+    then of h times the first-order corrections.
+
+    Each view holds 2N - 1 values, so building them all checks every
+    coefficient's bandwidth against the grid in O(N) memory and time.
+    """
+    terms = []
+    for alpha in range(spec.m + 1):
+        coeff = spec.a[alpha]
+        if not coeff.is_zero():
+            terms.append((convolution_matrix(coeff, grid, label=f"a_{alpha}"), alpha))
+    if spec.h_corrections is not None:
+        for alpha in range(spec.m + 1):
+            corr = spec.h_corrections[alpha]
+            if not corr.is_zero():
+                # h c rounds each part of c once, as h times its view would
+                terms.append((convolution_matrix(corr.scaled(grid.h), grid,
+                                                 label=f"h-correction a_{alpha}"), alpha))
+    return terms
 
 
 def assemble_differential(spec: SymbolSpec, grid: GridParams) -> OperatorMatrix:
     """Matrix of sum_a a_a(x) (hD)^a, plus h times any first-order corrections."""
     w = grid.xi_nodes().astype(float)
     total = np.zeros((grid.N, grid.N), dtype=complex)
-    for alpha in range(spec.m + 1):
-        coeff = spec.a[alpha]
-        if coeff.is_zero():
-            continue
-        conv = convolution_matrix(coeff, grid, label=f"a_{alpha}")
+    for conv, alpha in differential_terms(spec, grid):
         total += conv * (w**alpha)[None, :]
-    if spec.h_corrections is not None:
-        for alpha in range(spec.m + 1):
-            corr = spec.h_corrections[alpha]
-            if corr.is_zero():
-                continue
-            conv = convolution_matrix(corr, grid, label=f"h-correction a_{alpha}")
-            total += grid.h * conv * (w**alpha)[None, :]
     return OperatorMatrix(total, grid)
 
 

@@ -271,15 +271,15 @@ def build_perturbed(P: OperatorMatrix, plan: PerturbationPlan,
     grid = P.grid
     entries = np.array(P.entries, dtype=complex)
     if plan.delta != 0.0:
-        conv = convolution_matrix(pot.q, grid)
-        # scaled in place, so no third N x N array is made; each entry is
-        # still P + (c conv), rounded as before
+        # q's coefficients are scaled, not its Toeplitz matrix, whose
+        # read-only view is added into the copy: a complex value times a
+        # real factor rounds each part once, so each entry is P + (c conv)
+        # bit for bit, and no second N x N array is made
         if plan.mode == "derived":
-            conv *= plan.delta * grid.h ** float(plan.n1)
-            entries += conv
+            q = pot.q.scaled(plan.delta * grid.h ** float(plan.n1))
         else:
             scale = pot.sup_q()
-            if scale > 0.0:
-                conv *= plan.delta / scale
-                entries += conv
+            q = pot.q.scaled(plan.delta / scale) if scale > 0.0 else None
+        if q is not None:
+            entries += convolution_matrix(q, grid)
     return OperatorMatrix(entries, grid)

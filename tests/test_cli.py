@@ -215,6 +215,31 @@ class TestWeylEnsemble:
                 assert ((tmp_path / name / f).read_bytes()
                         == (tmp_path / "blas1" / f).read_bytes()), (name, f)
 
+    def test_too_wide_for_a_later_h_fails_before_any_trial(
+            self, capsys, tmp_path, monkeypatch):
+        # e^{60ix} fits h = 0.05's 2K = 86, but not the 2K = 44 of h = 0.1,
+        # which comes second: every h's grid is checked before the first
+        # h's baseline runs
+        from torweyl import experiments
+
+        ran = []
+        monkeypatch.setattr(experiments, "_baseline_trial",
+                            lambda ctx: ran.append(ctx.h))
+        monkeypatch.setattr(experiments, "_run_trial_in_context",
+                            lambda ctx, i: ran.append(ctx.h))
+        symbol = dumps_symbol(SymbolSpec(m=2, a=(
+            TrigPoly({1: 1.0 + 0j, 60: 0.01 + 0j}), TrigPoly.zero(),
+            TrigPoly.constant(1.0))))
+        entries = by_file({**WEYL_TINY, "run.h_list": "0.05 0.1"}, symbol)
+        path = tmp_path / "p.sym"
+        path.write_text(entries["symbol.file"])
+        cfg = write_cfg(tmp_path, {**entries, "symbol.file": str(path)})
+        code, _, err = run(capsys, "weyl-ensemble", "--config", str(cfg),
+                           "--out", str(tmp_path / "out"))
+        assert ran == []
+        assert code == EXIT_CONFIG
+        assert "coefficient a_0 has bandwidth 60 > 2K = 44" in err
+
     def test_symmetry_violation_is_config_error(self, capsys, tmp_path):
         cfg = tmp_path / "weyl.cfg"
         cfg.write_text(

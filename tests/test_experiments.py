@@ -1,5 +1,6 @@
 """Experiment orchestration tests: trials, ensembles, line model, probes."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -266,22 +267,38 @@ class TestMemoryBudget:
         _, peak = traced_peak(validate_config, acceptance_config)
         assert peak <= 2.5 * samples
 
-    def test_trial_holds_two_matrices(self, acceptance_config):
-        # P + c conv is built with two N x N arrays live, and the Schur form
-        # needs A, T and zgees' workspace; A is gone before T is copied for
-        # the probes
+    @staticmethod
+    def trial_budget(n):
+        """Two N x N arrays, zgees' workspace (the one np.linalg.eig's zgeev
+        asks for) and 1 MiB."""
         from scipy.linalg import lapack
 
+        lwork = int(lapack.zgeev_lwork(n, compute_vl=0, compute_vr=1)[0].real)
+        return 2 * 16 * n * n + 16 * lwork + 2**20
+
+    def test_trial_holds_two_matrices(self, acceptance_config):
+        # the trial assembles its own P (the sum and one term live), adds
+        # c conv to a copy of P through conv's view of 2N - 1 values and
+        # drops P; the Schur form needs A, T and zgees' workspace; A is gone
+        # before T is copied for the probes
         info = validate_config(acceptance_config)
         ctx = _context_for_h(acceptance_config, 0.01, info, 1.0)
-        n = ctx.grid.N
-        assert n == 447
+        assert ctx.grid.N == 447
         _run_trial_in_context(ctx, 0)
         trial, peak = traced_peak(_run_trial_in_context, ctx, 0)
         assert trial.error is None
-        # zgees gets the workspace np.linalg.eig's zgeev asks for
-        lwork = int(lapack.zgeev_lwork(n, compute_vl=0, compute_vr=1)[0].real)
-        assert peak <= 2 * 16 * n * n + 16 * lwork + 2**20
+        assert peak <= self.trial_budget(ctx.grid.N)
+
+    def test_run_holds_no_matrix_between_trials(self, acceptance_config):
+        # no h keeps a matrix once its trials are done, so the whole run
+        # stays within one trial's budget at the largest N; three held P's
+        # (0.13 + 0.81 + 3.2 MB) would not
+        config = dataclasses.replace(acceptance_config, n_trials=1)
+        run_ensemble(config)
+        report, peak = traced_peak(run_ensemble, config)
+        n = max(rec.matrix_dim for rec in report.per_h)
+        assert n == 447
+        assert peak <= self.trial_budget(n)
 
 
 class TestLineModel:

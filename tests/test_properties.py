@@ -1,6 +1,6 @@
 """Property tests: TrigPoly algebra, the symbol text round trip and the
 parse of arbitrary symbol text, the Toeplitz build of convolution matrices
-and the pruned phase-space sweep."""
+and of the perturbed matrix, and the pruned phase-space sweep."""
 
 import cmath
 import math
@@ -13,7 +13,12 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from torweyl import serialize, symbols  # noqa: E402
-from torweyl.operators import GridParams, convolution_matrix  # noqa: E402
+from torweyl.operators import GridParams, OperatorMatrix, convolution_matrix  # noqa: E402
+from torweyl.perturbation import (  # noqa: E402
+    RandomPotential,
+    build_perturbed,
+    derive_params,
+)
 from torweyl.symbols import (  # noqa: E402
     BoundaryTube,
     ContainmentError,
@@ -159,8 +164,75 @@ class TestConvolutionMatrix:
         got = convolution_matrix(u, grid)
         want = convolution_matrix_by_loop(u, grid)
         assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.flags.c_contiguous
+        # a read-only view of the 2N - 1 values c_{-(N-1)}..c_{N-1}
+        assert not got.flags.writeable
+        lo, hi = np.lib.array_utils.byte_bounds(got)
+        assert hi - lo == (2 * grid.N - 1) * got.itemsize
         assert got.tobytes() == want.tobytes()
+
+
+# parts of q's coefficients: signed zeros, or magnitudes that no scale of
+# the perturbation takes to zero (a part that underflows to zero would keep
+# its sign in the old construction, and turn +0 in the new one)
+coeff_parts = st.one_of(st.sampled_from([0.0, -0.0]),
+                        st.floats(1e-100, 1e3), st.floats(-1e3, -1e-100))
+
+
+@st.composite
+def grids_and_potentials(draw):
+    """A small grid and a q of bandwidth at most 2K, the widest that the
+    grid's Toeplitz matrix holds."""
+    K = draw(st.integers(1, 6))
+    coeffs = draw(st.dictionaries(st.integers(-2 * K, 2 * K),
+                                  st.builds(complex, coeff_parts, coeff_parts),
+                                  max_size=8))
+    return GridParams(h=0.1, K=K), RandomPotential(q=TrigPoly(coeffs))
+
+
+def perturbed_by_dense_toeplitz(P, plan, pot):
+    """The old construction: the dense Toeplitz matrix of q, scaled in
+    place, then added to a copy of P."""
+    grid = P.grid
+    entries = np.array(P.entries, dtype=complex)
+    conv = convolution_matrix_by_loop(pot.q, grid)
+    if plan.mode == "derived":
+        conv *= plan.delta * grid.h ** float(plan.n1)
+        entries += conv
+    else:
+        scale = pot.sup_q()
+        if scale > 0.0:
+            conv *= plan.delta / scale
+            entries += conv
+    return entries
+
+
+def signed_zero_matrix(seed, n):
+    """A random complex n x n matrix, a quarter of whose parts are +0 or -0."""
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((2, n, n))
+    parts[rng.random((2, n, n)) < 0.25] = 0.0
+    parts[rng.random((2, n, n)) < 0.125] = -0.0
+    out = np.empty((n, n), dtype=complex)
+    out.real, out.imag = parts
+    return out
+
+
+class TestPerturbedMatrix:
+    @pytest.mark.parametrize("mode", ["derived", "effective"])
+    @SETTINGS
+    @given(grids_and_potentials(), st.integers(0, 2**32 - 1),
+           st.floats(1e-14, 1e-2))
+    @example((GridParams(h=0.1, K=2), RandomPotential(q=TrigPoly({
+        0: complex(-0.0, 1.0), 2: complex(1.0, -0.0), -3: complex(-2.0, -0.0),
+        4: complex(-0.0, 1e-3)}))), 0, 1e-12)
+    def test_view_sum_matches_dense_toeplitz_bit_for_bit(self, mode, grid_pot,
+                                                         seed, delta):
+        grid, pot = grid_pot
+        plan = derive_params(n=1, s=2, epsilon=0.5, kappa=0.25, h=grid.h,
+                             mode=mode, delta_eff=delta, l_cap=grid.h * grid.K)
+        P = OperatorMatrix(signed_zero_matrix(seed, grid.N), grid)
+        got = build_perturbed(P, plan, pot).entries
+        assert got.tobytes() == perturbed_by_dense_toeplitz(P, plan, pot).tobytes()
 
 
 # The full-grid quadrature that the pruned sweep replaced, kept as the

@@ -1,7 +1,7 @@
 """Record a checkout's benchmark numbers in ``BENCH_<tag>.json``.
 
     python tools/bench_record.py --checkout DIR --tag TAG [--seeds 1 2]
-                                 [--out DIR]
+                                 [--parent DIR] [--pairs N] [--out DIR]
 
 For every workload that the checkout's ``BENCHMARK.json`` lists and every
 seed, runs the checkout's own ``perfbench/run.py --trace 0`` in the
@@ -12,10 +12,19 @@ suite (``python -m pytest -q --continue-on-collection-errors`` with
 ``src`` on the path) and writes everything, with the checkout's commit and
 whether its tree was clean (``git status`` succeeded and listed no change
 to a tracked file), to ``<out>/BENCH_<tag>.json`` (``out`` defaults to the
-current directory).  Runs are sequential, one workload at a time; with one
-seed and 20 s per run, a record takes about 3 minutes on a 2-CPU VM.  A
-before/after pair is two records from the same machine, the "before" made
-from a clean clone of the parent commit.
+current directory).
+
+With ``--parent``, the parent checkout runs the same workloads, and each
+workload's runs alternate between the two checkouts, ``--pairs`` times per
+seed, the parent first in even pairs and the checkout first in odd ones, so
+that the machine's drift falls on both alike.  Both records are written,
+the parent's as ``BENCH_<its short commit>.json``, each with the median and
+quartiles of every end-to-end metric per workload, and each pair's outcome
+per metric: in how many pairs the record's run was better than its partner
+by the direction ``BENCHMARK.json`` gives.  Without
+``--parent``, ``--pairs`` repeats each run.  Runs are sequential, one
+workload at a time; one run takes about 25 s, so 6 pairs of the four
+workloads take about 20 minutes on a 2-CPU VM.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -65,30 +75,89 @@ def tier1(checkout: Path) -> dict:
             "summary": lines[-1] if lines else ""}
 
 
+def metric(run: dict, name: str) -> float:
+    return run["result"]["metrics"][name]["value"]
+
+
+def summary(runs: list[dict], metrics: list[str]) -> dict:
+    """Per workload and metric: the median, the quartiles and the run count."""
+    out: dict = {}
+    for workload in dict.fromkeys(r["environment"]["workload"] for r in runs):
+        own = [r for r in runs if r["environment"]["workload"] == workload]
+        out[workload] = {}
+        for name in metrics:
+            v = [metric(r, name) for r in own]
+            q1, _, q3 = (statistics.quantiles(v, n=4, method="inclusive")
+                         if len(v) > 1 else v * 3)
+            out[workload][name] = {"median": statistics.median(v), "q1": q1,
+                                   "q3": q3, "runs": len(v)}
+    return out
+
+
+def pair_outcomes(mine: list[dict], theirs: list[dict], better: dict) -> dict:
+    """Per workload and metric: in how many of the pairs (mine[i],
+    theirs[i]) my run was better, by the metric's direction."""
+    out: dict = {}
+    for a, b in zip(mine, theirs):
+        per = out.setdefault(a["environment"]["workload"], {})
+        for name, direction in better.items():
+            sign = 1.0 if direction == "higher" else -1.0
+            won = sign * (metric(a, name) - metric(b, name)) > 0.0
+            cell = per.setdefault(name, {"better": 0, "pairs": 0})
+            cell["better"] += won
+            cell["pairs"] += 1
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--checkout", type=Path, required=True)
     ap.add_argument("--tag", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
+    ap.add_argument("--parent", type=Path)
+    ap.add_argument("--pairs", type=int, default=1)
     ap.add_argument("--out", type=Path, default=Path.cwd())
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
     checkout = args.checkout.resolve()
     declared = json.loads((checkout / "BENCHMARK.json").read_text())
-    runs = [bench(checkout, w["name"], seed, declared["run_seconds"])
-            for w in declared["workloads"] for seed in args.seeds]
-    commit = git(checkout, "rev-parse", "HEAD")
-    status = git(checkout, "status", "--porcelain", "--untracked-files=no")
-    record = {
-        "tag": args.tag,
-        "commit": commit,
-        "clean": commit is not None and status == "",
-        "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "runs": runs,
-        "tier1": tier1(checkout),
-    }
-    path = args.out / f"BENCH_{args.tag}.json"
-    path.write_text(json.dumps(record, indent=1) + "\n")
-    print(path)
+    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    sides = {args.tag: checkout}
+    if args.parent is not None:
+        parent = args.parent.resolve()
+        tag = git(parent, "rev-parse", "--short", "HEAD")
+        if not tag or tag == args.tag:
+            ap.error("the parent must be a git checkout whose short commit "
+                     "is not the checkout's tag")
+        sides = {tag: parent, args.tag: checkout}
+    runs: dict[str, list[dict]] = {tag: [] for tag in sides}
+    for w in declared["workloads"]:
+        for i in range(args.pairs):
+            for seed in args.seeds:
+                order = list(sides.items())
+                for tag, path in (order if i % 2 == 0 else order[::-1]):
+                    runs[tag].append(bench(path, w["name"], seed,
+                                           declared["run_seconds"]))
+    for tag, path in sides.items():
+        commit = git(path, "rev-parse", "HEAD")
+        status = git(path, "status", "--porcelain", "--untracked-files=no")
+        record = {
+            "tag": tag,
+            "commit": commit,
+            "clean": commit is not None and status == "",
+            "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "summary": summary(runs[tag], list(better)),
+        }
+        others = [t for t in sides if t != tag]
+        if others:
+            record["paired_with"] = others[0]
+            record["pair_outcomes"] = pair_outcomes(runs[tag], runs[others[0]], better)
+        record["runs"] = runs[tag]
+        record["tier1"] = tier1(path)
+        out = args.out / f"BENCH_{tag}.json"
+        out.write_text(json.dumps(record, indent=1) + "\n")
+        print(out)
     return 0
 
 

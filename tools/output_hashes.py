@@ -3,7 +3,9 @@
 Runs every ``configs/*.cfg`` through ``torweyl.cli.main`` with no overrides,
 each in its own directory under a temporary root, and prints one sorted
 ``sha256  path`` line per output file (``<config stem>/<file>``) and per
-command's stdout (``<config stem>.stdout``).  Two checkouts produce the same
+command's stdout (``<config stem>.stdout``), after a first line that names
+the CPU kernel of numpy's bundled OpenBLAS (``None`` where numpy bundles
+none).  Two checkouts produce the same
 bytes exactly when their listings are equal.  ``tools/output_hashes.txt`` is
 the committed reference listing, and a change that keeps every output
 byte-identical gives an empty diff against it:
@@ -13,18 +15,20 @@ byte-identical gives an empty diff against it:
 The run takes about 10 s on a 2-CPU VM; ``weyl_acceptance.cfg``
 dominates.  The ``weyl_*`` and ``spectrum`` hashes depend on LAPACK's
 rounding and so on the OpenBLAS kernel chosen for the CPU model: they match
-the reference only on the CPU model it was recorded on.
+the reference only under the kernel its first line names.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import sys
 import tempfile
 from pathlib import Path
 
+from torweyl import spectral
 from torweyl.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -45,6 +49,21 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def openblas_kernel() -> str | None:
+    """The CPU kernel that numpy's bundled OpenBLAS dispatches to, read from
+    the library that ``spectral._numpy_blas`` looks its routines up in, or
+    None where numpy bundles no OpenBLAS."""
+    package, pattern, _ = spectral._OPENBLAS_COPIES[0]
+    for lib in spectral._loaded_openblas(package, pattern):
+        try:
+            corename = lib.scipy_openblas_get_corename64_
+        except AttributeError:
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def output_hashes(root: Path) -> list[str]:
     lines = []
     for cfg in sorted(CONFIGS.glob("*.cfg")):
@@ -63,4 +82,5 @@ def output_hashes(root: Path) -> list[str]:
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        sys.stdout.write("".join(line + "\n" for line in output_hashes(Path(tmp))))
+        lines = [f"openblas kernel: {openblas_kernel()}", *output_hashes(Path(tmp))]
+        sys.stdout.write("".join(line + "\n" for line in lines))
