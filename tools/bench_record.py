@@ -1,7 +1,7 @@
 """Record a checkout's benchmark numbers in ``BENCH_<tag>.json``.
 
     python tools/bench_record.py --checkout DIR --tag TAG [--seeds 1 2]
-                                 [--parent DIR] [--pairs N] [--out DIR]
+                                 [--parent DIR] [--out DIR]
 
 For every workload that the checkout's ``BENCHMARK.json`` lists and every
 seed, runs the checkout's own ``perfbench/run.py --trace 0`` in the
@@ -12,19 +12,18 @@ suite (``python -m pytest -q --continue-on-collection-errors`` with
 ``src`` on the path) and writes everything, with the checkout's commit and
 whether its tree was clean (``git status`` succeeded and listed no change
 to a tracked file), to ``<out>/BENCH_<tag>.json`` (``out`` defaults to the
-current directory).
+current directory).  Runs are sequential, one workload at a time; with one
+seed and 20 s per run, a record takes about 3 minutes on a 2-CPU VM.
 
 With ``--parent``, the parent checkout runs the same workloads, and each
-workload's runs alternate between the two checkouts, ``--pairs`` times per
-seed, the parent first in even pairs and the checkout first in odd ones, so
-that the machine's drift falls on both alike.  Both records are written,
-the parent's as ``BENCH_<its short commit>.json``, each with the median and
-quartiles of every end-to-end metric per workload, and each pair's outcome
-per metric: in how many pairs the record's run was better than its partner
-by the direction ``BENCHMARK.json`` gives.  Without
-``--parent``, ``--pairs`` repeats each run.  Runs are sequential, one
-workload at a time; one run takes about 25 s, so 6 pairs of the four
-workloads take about 20 minutes on a 2-CPU VM.
+workload's runs alternate between the two checkouts, ``PAIRS`` (10) times
+per seed, the parent first in even pairs and the checkout first in odd
+ones, so that the machine's drift falls on both alike.  Both records are
+written, the parent's as ``BENCH_<its short commit>.json``, each with the
+median and quartiles of every end-to-end metric per workload, and each
+pair's outcome per metric: in how many pairs the record's run was better
+than its partner by the direction ``BENCHMARK.json`` gives.  One run
+takes about 25 s, so the pairs of one seed take about 35 minutes.
 """
 
 from __future__ import annotations
@@ -37,6 +36,9 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+# alternating parent/checkout pairs per workload and seed with --parent
+PAIRS = 10
 
 
 def git(checkout: Path, *args: str) -> str | None:
@@ -115,11 +117,8 @@ def main(argv=None) -> int:
     ap.add_argument("--tag", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
     ap.add_argument("--parent", type=Path)
-    ap.add_argument("--pairs", type=int, default=1)
     ap.add_argument("--out", type=Path, default=Path.cwd())
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
     checkout = args.checkout.resolve()
     declared = json.loads((checkout / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
@@ -131,9 +130,10 @@ def main(argv=None) -> int:
             ap.error("the parent must be a git checkout whose short commit "
                      "is not the checkout's tag")
         sides = {tag: parent, args.tag: checkout}
+    pairs = PAIRS if len(sides) == 2 else 1
     runs: dict[str, list[dict]] = {tag: [] for tag in sides}
     for w in declared["workloads"]:
-        for i in range(args.pairs):
+        for i in range(pairs):
             for seed in args.seeds:
                 order = list(sides.items())
                 for tag, path in (order if i % 2 == 0 else order[::-1]):

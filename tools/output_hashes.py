@@ -5,10 +5,10 @@ each in its own directory under a temporary root, and prints one sorted
 ``sha256  path`` line per output file (``<config stem>/<file>``) and per
 command's stdout (``<config stem>.stdout``), after a first line that names
 the CPU kernel of numpy's bundled OpenBLAS (``None`` where numpy bundles
-none).  Two checkouts produce the same
-bytes exactly when their listings are equal.  ``tools/output_hashes.txt`` is
-the committed reference listing, and a change that keeps every output
-byte-identical gives an empty diff against it:
+none).  Two checkouts produce the same bytes exactly when their listings
+are equal.  ``tools/output_hashes.txt`` is the committed reference
+listing, and a change that keeps every output byte-identical gives an
+empty diff against it:
 
     diff <(PYTHONPATH=src python tools/output_hashes.py) tools/output_hashes.txt
 
@@ -24,11 +24,13 @@ import contextlib
 import ctypes
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-from torweyl import spectral
+import numpy as np
+
 from torweyl.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -50,14 +52,15 @@ def digest(data: bytes) -> str:
 
 
 def openblas_kernel() -> str | None:
-    """The CPU kernel that numpy's bundled OpenBLAS dispatches to, read from
-    the library that ``spectral._numpy_blas`` looks its routines up in, or
-    None where numpy bundles no OpenBLAS."""
-    package, pattern, _ = spectral._OPENBLAS_COPIES[0]
-    for lib in spectral._loaded_openblas(package, pattern):
+    """The CPU kernel that numpy's bundled OpenBLAS dispatches to, or None
+    where numpy bundles none.  That library, already loaded with numpy, is
+    the one whose zgees ``torweyl.spectral`` calls."""
+    libs = Path(np.__file__).parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_-*.so")):
         try:
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
             corename = lib.scipy_openblas_get_corename64_
-        except AttributeError:
+        except (OSError, AttributeError):
             continue
         corename.argtypes, corename.restype = [], ctypes.c_char_p
         return corename().decode()
