@@ -386,10 +386,12 @@ def cmd_spectrum(v: dict, out_dir: Path) -> int:
     region = one_of(v, "region.rect", "region.disk")
     h = v["grid.h"]
     grid = truncation_grid(h, certified_xi_bound(spec, region), v["grid.k_rule"])
-    P = assemble_differential(spec, grid)
+    matrix = assemble_differential(spec, grid)
     tag = f"{h:g}"
-    # one Schur form per matrix gives its eigenvalues and the resolvent floor
-    target = schur(P)
+    # one Schur form per matrix gives its eigenvalues and the resolvent
+    # floor; each N x N array is dropped after its last reader, so no more
+    # than two are alive at once, as in a weyl-ensemble trial
+    target = schur(matrix)
     _write(out_dir, f"eigs_{tag}_base.csv",
            serialize.eigs_csv(eigenvalues(target)))
     payload = {
@@ -404,10 +406,15 @@ def cmd_spectrum(v: dict, out_dir: Path) -> int:
             l_cap=h * grid.K,
         )
         pot = sample_potential(plan, split_seed(seed, 0))
-        target = schur(build_perturbed(P, plan, pot))
+        # the base form is written; P goes once its perturbed copy exists
+        del target
+        matrix = build_perturbed(matrix, plan, pot)
+        target = schur(matrix)
         _write(out_dir, f"eigs_{tag}_0.csv",
                serialize.eigs_csv(eigenvalues(target)))
         payload["plan"] = plan.as_dict()
+    # the pseudospectrum reads only the form
+    del matrix
     if v["pseudospec.enabled"]:
         re_lo, re_hi, im_lo, im_hi = region.bounds()
         res = np.linspace(re_lo, re_hi, v["pseudospec.n_re"])

@@ -706,12 +706,9 @@ def estimate_kappa(spec: SymbolSpec, z: complex, t_lo: float, t_hi: float,
     The volumes come from one sweep of a fixed 2048 x 2048 grid over the
     certified xi-slab of the disk |w - z| <= sqrt(t_hi).  Returns (slope, r2).
     Only finite scales are observable, so this reports a fit, never a
-    certified exponent.
+    certified exponent.  The caller ensures 0 < t_lo < t_hi and
+    n_points >= 4, as ``volume`` does when it reads its kappa keys.
     """
-    if not (0.0 < t_lo < t_hi):
-        raise ValueError("need 0 < t_lo < t_hi")
-    if n_points < 4:
-        raise ValueError("need at least 4 sample points")
     grid = default_grid(spec, Disk(z, math.sqrt(t_hi)), n_x=2048, n_xi=2048)
     t = np.geomspace(t_lo, t_hi, n_points)
     vols = sublevel_volumes(spec, z, t, grid)

@@ -2,12 +2,15 @@
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import trial_budget, traced_peak
 
+from torweyl import spectral
 from torweyl.cli import (
     COMMANDS,
     EXIT_CONFIG,
@@ -152,6 +155,25 @@ class TestSpectrum:
         values = [float(r.split(",")[2]) for r in rows[2:]]
         assert len(values) == 9 and all(0.0 < v < 1e-20 for v in values)
 
+    def test_run_holds_two_matrices(self, capsys, tmp_path):
+        # the unperturbed form goes once its eigenvalues are written, P once
+        # its perturbed copy exists, and that copy once factored, so a
+        # seeded run stays within a weyl-ensemble trial's budget; P and the
+        # unperturbed form held through the perturbed zgees would not
+        cfg = tmp_path / "spectrum.cfg"
+        cfg.write_text("symbol.model = xi2+exp(ix)\n"
+                       "region.rect = 0.05 0.95 -0.55 0.55\ngrid.h = 0.02\n"
+                       "perturb.seed = 1\n"
+                       "pseudospec.n_re = 4\npseudospec.n_im = 2\n")
+        argv = ["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        code, peak = traced_peak(main, argv)
+        capsys.readouterr()
+        assert code == EXIT_OK
+        n = json.loads((tmp_path / "out" / "params.json").read_text())["N"]
+        assert n == 219
+        assert peak <= trial_budget(n)
+
 
 class TestWeylEnsemble:
     def test_outputs_and_determinism(self, capsys, tmp_path):
@@ -214,6 +236,50 @@ class TestWeylEnsemble:
             for f in files:
                 assert ((tmp_path / name / f).read_bytes()
                         == (tmp_path / "blas1" / f).read_bytes()), (name, f)
+
+    def test_counts_do_not_depend_on_the_openblas_kernel(
+            self, capsys, tmp_path, monkeypatch):
+        # at delta = 1e-3 no count rests on LAPACK's rounding: a child on
+        # OpenBLAS's generic x86-64 kernel (OPENBLAS_CORETYPE is read when
+        # the library loads) counts what this process's kernel counts
+        if spectral._numpy_blas() is None:
+            pytest.skip("numpy bundles no OpenBLAS, whose kernel "
+                        "OPENBLAS_CORETYPE would choose")
+        if platform.machine() not in ("x86_64", "AMD64"):
+            pytest.skip(f"the Prescott kernel is x86-64 only, and this "
+                        f"machine is {platform.machine()}")
+        monkeypatch.syspath_prepend(str(ROOT / "tools"))
+        from output_hashes import openblas_kernel
+
+        cfg = write_cfg(tmp_path, {
+            **WEYL_ACCEPTANCE, "run.h_list": "0.05 0.02", "run.trials_n": "4",
+            "plan.delta_eff": "1e-3", "grid.vol_n_x": "256",
+            "grid.vol_n_xi": "256"})
+        argv = ["weyl-ensemble", "--config", str(cfg), "--out"]
+        code, _, _ = run(capsys, *argv, str(tmp_path / "native"))
+        assert code == EXIT_OK
+        child = ("import sys\n"
+                 "from output_hashes import openblas_kernel\n"
+                 "from torweyl.cli import main\n"
+                 f"code = main({argv + [str(tmp_path / 'prescott')]!r})\n"
+                 "print(openblas_kernel())\n"
+                 "sys.exit(code)\n")
+        done = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True,
+            env=dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+                     PYTHONPATH=os.pathsep.join(
+                         [str(ROOT / "src"), str(ROOT / "tools")])),
+            timeout=300)
+        assert done.returncode == 0, done.stderr
+        # the child really ran another kernel
+        assert done.stdout.splitlines()[-1] != openblas_kernel()
+
+        def counts(name):
+            rows = (tmp_path / name / "trials.csv").read_text().splitlines()[2:]
+            return [row.split(",")[:4] for row in rows]   # h, trial, seed, count
+
+        assert len(counts("native")) == 2 * (1 + 4)
+        assert counts("prescott") == counts("native")
 
     def test_too_wide_for_a_later_h_fails_before_any_trial(
             self, capsys, tmp_path, monkeypatch):
@@ -321,6 +387,8 @@ SPECTRUM_TINY = {
 }
 LINE_SHIPPED = {name: value for name, (value, _)
                 in parse_config(CONFIGS / "line_check.cfg").items()}
+WEYL_ACCEPTANCE = {name: value for name, (value, _)
+                   in parse_config(CONFIGS / "weyl_acceptance.cfg").items()}
 
 
 def by_file(entries: dict, text: str) -> dict:

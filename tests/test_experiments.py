@@ -2,10 +2,10 @@
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import trial_budget, traced_peak
 
 from torweyl.experiments import (
     ExperimentConfig,
@@ -235,19 +235,6 @@ class TestRunEnsemble:
         assert all(float(row[4]) == preds[float(row[0])] for row in rows)
 
 
-def traced_peak(fn, *args):
-    """fn(*args), and the peak of the memory tracemalloc traces while it
-    runs, above the memory traced at its start."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        out = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    return out, peak
-
-
 class TestMemoryBudget:
     # budgets from the array sizes of the acceptance setup; each call runs
     # once untraced first, so lazy imports and caches stay out of the peak
@@ -267,15 +254,6 @@ class TestMemoryBudget:
         _, peak = traced_peak(validate_config, acceptance_config)
         assert peak <= 2.5 * samples
 
-    @staticmethod
-    def trial_budget(n):
-        """Two N x N arrays, zgees' workspace (the one np.linalg.eig's zgeev
-        asks for) and 1 MiB."""
-        from scipy.linalg import lapack
-
-        lwork = int(lapack.zgeev_lwork(n, compute_vl=0, compute_vr=1)[0].real)
-        return 2 * 16 * n * n + 16 * lwork + 2**20
-
     def test_trial_holds_two_matrices(self, acceptance_config):
         # the trial assembles its own P (the sum and one term live), adds
         # c conv to a copy of P through conv's view of 2N - 1 values and
@@ -287,7 +265,7 @@ class TestMemoryBudget:
         _run_trial_in_context(ctx, 0)
         trial, peak = traced_peak(_run_trial_in_context, ctx, 0)
         assert trial.error is None
-        assert peak <= self.trial_budget(ctx.grid.N)
+        assert peak <= trial_budget(ctx.grid.N)
 
     def test_run_holds_no_matrix_between_trials(self, acceptance_config):
         # no h keeps a matrix once its trials are done, so the whole run
@@ -298,7 +276,7 @@ class TestMemoryBudget:
         report, peak = traced_peak(run_ensemble, config)
         n = max(rec.matrix_dim for rec in report.per_h)
         assert n == 447
-        assert peak <= self.trial_budget(n)
+        assert peak <= trial_budget(n)
 
 
 class TestLineModel:
