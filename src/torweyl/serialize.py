@@ -141,8 +141,6 @@ def _cell(v) -> str:
         return ""
     if isinstance(v, float):
         return repr(float(v))
-    if isinstance(v, complex):
-        return f"{float(v.real)!r}+{float(v.imag)!r}j"
     return str(v)
 
 

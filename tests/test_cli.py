@@ -416,29 +416,34 @@ def write_cfg(tmp_path, entries: dict) -> Path:
 
 
 class TestImportPath:
-    def test_commands_run_without_scipy(self, tmp_path):
+    def test_commands_run_without_scipy_numpy_ma_or_concurrent_futures(self, tmp_path):
         # scipy serves only identity-checks and the fallback for a numpy
-        # without OpenBLAS; importing it costs each process about 0.26 s
-        runs = {"volume": VOLUME_TINY,
-                "spectrum": {**SPECTRUM_TINY, "perturb.seed": "1"},
-                "weyl-ensemble": WEYL_TINY}
+        # without OpenBLAS; importing it costs each process about 0.26 s.
+        # numpy.ma (np.percentile's import) and concurrent.futures hold
+        # about 1.1 and 0.4 MB resident that no command needs
+        runs = {"volume": (VOLUME_TINY, []),
+                "spectrum": ({**SPECTRUM_TINY, "perturb.seed": "1"}, []),
+                "weyl-ensemble": ({**WEYL_TINY, "run.trials_n": "2"},
+                                  ["--workers", "2"])}
         argvs = []
-        for command, entries in runs.items():
+        for command, (entries, flags) in runs.items():
             cfg = tmp_path / f"{command}.cfg"
             cfg.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
             argvs.append([command, "--config", str(cfg),
-                          "--out", str(tmp_path / command)])
+                          "--out", str(tmp_path / command), *flags])
+        unwanted = ["scipy", "numpy.ma", "concurrent.futures"]
         script = ("import json, sys\n"
                   "import torweyl.cli\n"
                   f"codes = [torweyl.cli.main(argv) for argv in {argvs!r}]\n"
-                  "print(json.dumps([codes, 'scipy' in sys.modules]))\n")
+                  f"print(json.dumps([codes, [m for m in {unwanted!r} "
+                  "if m in sys.modules]]))\n")
         done = subprocess.run([sys.executable, "-c", script],
                               env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        codes, scipy_loaded = json.loads(done.stdout.splitlines()[-1])
+        codes, loaded = json.loads(done.stdout.splitlines()[-1])
         assert codes == [EXIT_OK] * 3
-        assert not scipy_loaded
+        assert loaded == []
 
 
 class TestKeyTables:

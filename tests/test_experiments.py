@@ -2,16 +2,19 @@
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
 from conftest import trial_budget, traced_peak
 
+from torweyl import experiments
 from torweyl.experiments import (
     ExperimentConfig,
     InvalidConfigError,
     ResolutionError,
     _context_for_h,
+    _quartiles,
     _run_trial_in_context,
     boundary_probes,
     line_count_in_region,
@@ -211,6 +214,52 @@ class TestRunEnsemble:
         pooled = json_text(run_ensemble(cfg, workers=4).as_dict())
         assert solo == pooled
 
+    @staticmethod
+    def _trial_threads(monkeypatch, threads, raise_in_helper=False):
+        """Patch the trial and Thread so that each trial records its thread
+        and waits until ``threads`` threads hold one trial each; returns the
+        recorded (thread, index) list and the helper threads started."""
+        barrier = threading.Barrier(threads, timeout=60)
+        taken, started = [], []
+        run_one = experiments._run_trial_in_context
+
+        def recording(ctx, i):
+            taken.append((threading.get_ident(), i))
+            barrier.wait()
+            if raise_in_helper and threading.get_ident() != caller:
+                raise RuntimeError("helper failed")
+            return run_one(ctx, i)
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        caller = threading.get_ident()
+        monkeypatch.setattr(experiments, "_run_trial_in_context", recording)
+        monkeypatch.setattr(experiments.threading, "Thread", Counted)
+        return taken, started
+
+    @pytest.mark.parametrize("workers, n_trials, helpers", [
+        (1, 3, 0), (2, 2, 1), (5, 3, 2)])
+    def test_caller_runs_trials_beside_its_helpers(
+            self, monkeypatch, workers, n_trials, helpers):
+        taken, started = self._trial_threads(monkeypatch, helpers + 1)
+        rep = run_ensemble(small_config(n_trials=n_trials), workers=workers)
+        threads = {ident for ident, _ in taken}
+        assert threading.get_ident() in threads
+        assert len(threads) == helpers + 1 and len(started) == helpers
+        assert sorted(i for _, i in taken) == list(range(n_trials))
+        assert all(t.error is None for t in rep.per_h[0].trials)
+
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_trial_left_without_a_result_raises(self, monkeypatch):
+        taken, _ = self._trial_threads(monkeypatch, 2, raise_in_helper=True)
+        with pytest.raises(RuntimeError) as err:
+            run_ensemble(small_config(n_trials=2), workers=2)
+        lost = [i for ident, i in taken if ident != threading.get_ident()]
+        assert str(err.value) == f"trial {lost[0]} returned no result"
+
     def test_ingredients_present(self):
         rep = run_ensemble(small_config(n_trials=2))
         rec = rep.per_h[0]
@@ -233,6 +282,20 @@ class TestRunEnsemble:
         preds = {rec.h: rec.prediction for rec in rep.per_h}
         rows = [line.split(",") for line in lines[2:]]
         assert all(float(row[4]) == preds[float(row[0])] for row in rows)
+
+
+class TestQuartiles:
+    def test_equal_numpy_percentile_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 65):
+            # draws from n // 3 + 1 values, so most sizes have ties
+            pool = rng.random(n // 3 + 1) * 10.0 ** rng.integers(-4, 3, n // 3 + 1)
+            v = rng.choice(pool, size=n)
+            want = tuple(np.percentile(v, [25.0, 50.0, 75.0]).tolist())
+            assert _quartiles([math.nan, *v.tolist(), math.inf]) == want
+
+    def test_no_finite_value(self):
+        assert all(math.isnan(q) for q in _quartiles([math.nan, -math.inf]))
 
 
 class TestMemoryBudget:

@@ -22,8 +22,10 @@ ones, so that the machine's drift falls on both alike.  Both records are
 written, the parent's as ``BENCH_<its short commit>.json``, each with the
 median and quartiles of every end-to-end metric per workload, and each
 pair's outcome per metric: in how many pairs the record's run was better
-than its partner by the direction ``BENCHMARK.json`` gives.  One run
-takes about 25 s, so the pairs of one seed take about 35 minutes.
+than its partner by the direction ``BENCHMARK.json`` gives.  The
+checkout's record also states its verdict against the parent for every
+workload and metric (see ``verdict``).  One run takes about 25 s, so the
+pairs of one seed take about 35 minutes.
 """
 
 from __future__ import annotations
@@ -81,6 +83,11 @@ def metric(run: dict, name: str) -> float:
     return run["result"]["metrics"][name]["value"]
 
 
+def quartiles(v: list[float]) -> list[float]:
+    """Lower quartile, median and upper quartile."""
+    return statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else v * 3
+
+
 def summary(runs: list[dict], metrics: list[str]) -> dict:
     """Per workload and metric: the median, the quartiles and the run count."""
     out: dict = {}
@@ -89,8 +96,7 @@ def summary(runs: list[dict], metrics: list[str]) -> dict:
         out[workload] = {}
         for name in metrics:
             v = [metric(r, name) for r in own]
-            q1, _, q3 = (statistics.quantiles(v, n=4, method="inclusive")
-                         if len(v) > 1 else v * 3)
+            q1, _, q3 = quartiles(v)
             out[workload][name] = {"median": statistics.median(v), "q1": q1,
                                    "q3": q3, "runs": len(v)}
     return out
@@ -108,6 +114,39 @@ def pair_outcomes(mine: list[dict], theirs: list[dict], better: dict) -> dict:
             cell = per.setdefault(name, {"better": 0, "pairs": 0})
             cell["better"] += won
             cell["pairs"] += 1
+    return out
+
+
+def verdict(mine: list[dict], theirs: list[dict], declared: list[dict]) -> dict:
+    """Per workload and metric, the pairs (mine[i], theirs[i]) judged seed
+    by seed against ``BENCHMARK.json``'s end-to-end list.
+
+    ``gain``: in every seed, my run was better in at least 9 of 10 pairs,
+    and my median beats the parent's by more than the parent's
+    interquartile range.  ``within_bound``: in every seed, my median is
+    worse than the parent's by at most ``bound`` times the parent's median.
+    """
+    by_seed: dict = {}
+    for a, b in zip(mine, theirs):
+        env = a["environment"]
+        by_seed.setdefault((env["workload"], env["seed"]), []).append((a, b))
+    out: dict = {}
+    for (workload, seed), pairs in by_seed.items():
+        for m in declared:
+            sign = 1.0 if m["better"] == "higher" else -1.0
+            v = [metric(a, m["name"]) for a, _ in pairs]
+            p = [metric(b, m["name"]) for _, b in pairs]
+            better = sum(sign * (x - y) > 0.0 for x, y in zip(v, p))
+            q1, parent_median, q3 = quartiles(p)
+            gain = sign * (statistics.median(v) - parent_median)
+            allowed = m["bound"] * abs(parent_median)
+            cell = out.setdefault(workload, {}).setdefault(
+                m["name"], {"gain": True, "within_bound": True, "seeds": {}})
+            cell["gain"] &= 10 * better >= 9 * len(pairs) and gain > q3 - q1
+            cell["within_bound"] &= -gain <= allowed
+            cell["seeds"][str(seed)] = {
+                "better": better, "pairs": len(pairs), "median_gain": gain,
+                "parent_iqr": q3 - q1, "allowed_loss": allowed}
     return out
 
 
@@ -153,6 +192,9 @@ def main(argv=None) -> int:
         if others:
             record["paired_with"] = others[0]
             record["pair_outcomes"] = pair_outcomes(runs[tag], runs[others[0]], better)
+            if tag == args.tag:
+                record["verdict"] = verdict(runs[tag], runs[others[0]],
+                                            declared["end_to_end"])
         record["runs"] = runs[tag]
         record["tier1"] = tier1(path)
         out = args.out / f"BENCH_{tag}.json"
