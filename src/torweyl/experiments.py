@@ -365,7 +365,7 @@ class WeylReport:
 
 def _quartiles(values: Sequence[float]) -> tuple[float, float, float]:
     """numpy's "linear" 25/50/75 percentiles of the finite values, bit for
-    bit, without np.percentile: it imports numpy.ma (1.1 MB resident)."""
+    bit, without np.percentile: it imports numpy.ma (about 1 MB resident)."""
     v = sorted(x for x in values if math.isfinite(x))
     if not v:
         return (math.nan, math.nan, math.nan)

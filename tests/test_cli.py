@@ -416,7 +416,7 @@ def write_cfg(tmp_path, entries: dict) -> Path:
 
 
 class TestImportPath:
-    def test_commands_run_without_scipy_numpy_ma_or_concurrent_futures(self, tmp_path):
+    def test_commands_import_neither_scipy_numpy_ma_nor_concurrent_futures(self, tmp_path):
         # scipy serves only identity-checks and the fallback for a numpy
         # without OpenBLAS; importing it costs each process about 0.26 s.
         # numpy.ma (np.percentile's import) and concurrent.futures hold

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import threading
 
 import numpy as np
@@ -251,6 +252,23 @@ class TestRunEnsemble:
         assert len(threads) == helpers + 1 and len(started) == helpers
         assert sorted(i for _, i in taken) == list(range(n_trials))
         assert all(t.error is None for t in rep.per_h[0].trials)
+
+    def test_every_index_runs_once_under_rapid_thread_switching(self, monkeypatch):
+        taken = []
+
+        def record(ctx, i):
+            taken.append(i)
+            return i
+        monkeypatch.setattr(experiments, "_run_trial_in_context", record)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # more threads than cores, so that they preempt one another
+            slots = experiments._run_trials(None, 300, workers=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert slots == list(range(300))
+        assert sorted(taken) == list(range(300))
 
     @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_trial_left_without_a_result_raises(self, monkeypatch):

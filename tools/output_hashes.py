@@ -15,7 +15,10 @@ empty diff against it:
 The run takes about 10 s on a 2-CPU VM; ``weyl_acceptance.cfg``
 dominates.  The ``weyl_*`` and ``spectrum`` hashes depend on LAPACK's
 rounding and so on the OpenBLAS kernel chosen for the CPU model: they match
-the reference only under the kernel its first line names.
+the reference only under the kernel its first line names.  numpy's OpenBLAS
+names the generic x86-64 kernel (``OPENBLAS_CORETYPE=Prescott`` or
+``Core2``) ``Katmai``, so a first line ``openblas kernel: Katmai`` means
+that kernel.
 """
 
 from __future__ import annotations
