@@ -662,31 +662,34 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 @functools.cache
 def _reuse_heap() -> None:
     """Make glibc serve blocks below 32 MiB from the heap, where freed
-    memory is reused, instead of mapping each afresh.
+    memory is reused, instead of mapping each afresh.  Only ``main`` calls
+    this: a library caller that skips it, such as a test, keeps glibc's
+    defaults.
 
     glibc maps a block of at least M_MMAP_THRESHOLD (128 KiB at start-up)
     on its own and unmaps it when it is freed, so the next such block
     faults its pages in again.  The threshold rises by itself only after a
     larger mapped block is freed, which importing scipy used to do by
-    accident.  Measured per iteration of the benchmark workloads (minor
-    page faults, in-process loop of ``main`` calls after one warm-up call,
-    2-CPU x86-64 VM with glibc 2.36), with these settings ``phase-volumes``
-    took 2-8 faults and 0.17-0.23 s, and ``weyl-acceptance`` 0-10 faults
-    (719 in the first timed iteration) and 0.30-0.35 s.  Otherwise:
+    accident.  Measured per iteration of the benchmark workloads at seed 1
+    (minor page faults, and the median wall time of an in-process loop of
+    ``main`` calls after one warm-up call; 5 alternating pairs of fresh
+    processes per workload, 2-CPU x86-64 VM with glibc 2.36), these settings
+    against none gave: ``phase-volumes`` 1-5 faults against 8.7k, whose
+    pruned sweep maps each array of exactly 128 KiB afresh (symbols._HEADS,
+    _PAIRS and _PIECE), and 0.18 against 0.21 s (faster in 5 of 5 pairs);
+    ``weyl-small-pool`` 9-28 against 1.4k-1.6k and 0.81 against 0.90 s (4
+    of 5); ``pseudospec-grid`` 0-9 against 0.5k and ``weyl-acceptance``
+    0-13 against 3.4k, with no resolvable time difference; peak RSS within
+    0.2 MB.  Otherwise:
 
-    - left alone, ``phase-volumes`` took 9.3k-9.4k faults and 0.20-0.24 s:
-      the pruned volume sweep's tile heads, sub-tile heads and yielded
-      arrays are of 128 KiB at most (symbols._HEADS, _PAIRS and _PIECE),
-      and those of exactly 128 KiB are each mapped afresh;
-      ``weyl-acceptance`` took 2.3k and 0.32-0.36 s;
     - an explicit threshold stops the rise, so a small one is worse: at
       1 MiB (the trim threshold still raised) the N = 447 trial matrices
-      (3.2 MB) were mapped afresh each time, and ``weyl-acceptance`` took
-      16.8k-17.0k faults and 0.34-0.36 s;
+      (3.2 MB) are mapped afresh each time, and ``weyl-acceptance`` took
+      11.4k faults, 0.45 s against 0.43 s, and 2.2 MB more peak RSS;
     - an explicit threshold also stops the trim threshold from following at
       twice its value, and left at 128 KiB it returns the top of the heap to
-      the system at every step: 10.0k faults on ``phase-volumes`` and
-      15.2k and 0.33-0.35 s on ``weyl-acceptance``.
+      the system at every step: 8.8k-9.0k faults and 0.23 s against 0.20 s
+      on ``phase-volumes``, 17.9k-18.3k and 0.50 s on ``weyl-acceptance``.
 
     32 MiB is glibc's own ceiling for the rising threshold, and 64 MiB twice
     that.  Other C libraries are left as they are.

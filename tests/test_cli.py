@@ -417,14 +417,16 @@ def write_cfg(tmp_path, entries: dict) -> Path:
 
 class TestImportPath:
     def test_commands_import_neither_scipy_numpy_ma_nor_concurrent_futures(self, tmp_path):
-        # scipy serves only identity-checks and the fallback for a numpy
-        # without OpenBLAS; importing it costs each process about 0.26 s.
+        # scipy serves only the fallback for a numpy without OpenBLAS;
+        # importing it costs each process about 0.26 s and 21 MB resident.
         # numpy.ma (np.percentile's import) and concurrent.futures hold
         # about 1.1 and 0.4 MB resident that no command needs
         runs = {"volume": (VOLUME_TINY, []),
                 "spectrum": ({**SPECTRUM_TINY, "perturb.seed": "1"}, []),
                 "weyl-ensemble": ({**WEYL_TINY, "run.trials_n": "2"},
-                                  ["--workers", "2"])}
+                                  ["--workers", "2"]),
+                "identity-checks": ({"checks.det_trials_n": "5",
+                                     "checks.fu_trials_n": "2"}, [])}
         argvs = []
         for command, (entries, flags) in runs.items():
             cfg = tmp_path / f"{command}.cfg"
@@ -442,7 +444,7 @@ class TestImportPath:
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         codes, loaded = json.loads(done.stdout.splitlines()[-1])
-        assert codes == [EXIT_OK] * 3
+        assert codes == [EXIT_OK] * len(runs)
         assert loaded == []
 
 

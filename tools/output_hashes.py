@@ -13,9 +13,11 @@ empty diff against it:
     diff <(PYTHONPATH=src python tools/output_hashes.py) tools/output_hashes.txt
 
 The run takes about 10 s on a 2-CPU VM; ``weyl_acceptance.cfg``
-dominates.  The ``weyl_*`` and ``spectrum`` hashes depend on LAPACK's
-rounding and so on the OpenBLAS kernel chosen for the CPU model: they match
-the reference only under the kernel its first line names.  numpy's OpenBLAS
+dominates.  The ``weyl_*``, ``spectrum`` and ``identity_checks`` hashes
+depend on LAPACK's rounding and so on the OpenBLAS kernel chosen for the CPU
+model: they match the reference only under the kernel its first line names.
+``tests/test_output_hashes.py`` checks every config but ``weyl_acceptance``
+against the reference, line by line, with ``config_hashes``.  numpy's OpenBLAS
 names the generic x86-64 kernel (``OPENBLAS_CORETYPE=Prescott`` or
 ``Core2``) ``Katmai``, so a first line ``openblas kernel: Katmai`` means
 that kernel.
@@ -24,17 +26,14 @@ that kernel.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import hashlib
 import io
-import os
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from torweyl.cli import main
+from torweyl.spectral import _openblas_kernel as openblas_kernel
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -54,35 +53,23 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def openblas_kernel() -> str | None:
-    """The CPU kernel that numpy's bundled OpenBLAS dispatches to, or None
-    where numpy bundles none.  That library, already loaded with numpy, is
-    the one whose zgees ``torweyl.spectral`` calls."""
-    libs = Path(np.__file__).parents[1] / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas64_-*.so")):
-        try:
-            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-            corename = lib.scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        return corename().decode()
-    return None
+def config_hashes(cfg: Path, root: Path) -> list[str]:
+    """The lines of one shipped config: its command's stdout and each file
+    that the command writes into ``root / <config stem>``."""
+    out = root / cfg.stem
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([COMMAND[cfg.stem], "--config", str(cfg), "--out", str(out)])
+    if code != 0:
+        raise SystemExit(f"{cfg.name}: exit code {code}")
+    return [f"{digest(stdout.getvalue().encode())}  {cfg.stem}.stdout",
+            *(f"{digest(p.read_bytes())}  {p.relative_to(root)}"
+              for p in out.iterdir())]
 
 
 def output_hashes(root: Path) -> list[str]:
-    lines = []
-    for cfg in sorted(CONFIGS.glob("*.cfg")):
-        out = root / cfg.stem
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = main([COMMAND[cfg.stem], "--config", str(cfg),
-                         "--out", str(out)])
-        if code != 0:
-            raise SystemExit(f"{cfg.name}: exit code {code}")
-        lines.append(f"{digest(stdout.getvalue().encode())}  {cfg.stem}.stdout")
-        lines += [f"{digest(p.read_bytes())}  {p.relative_to(root)}"
-                  for p in out.iterdir()]
+    lines = [line for cfg in sorted(CONFIGS.glob("*.cfg"))
+             for line in config_hashes(cfg, root)]
     return sorted(lines, key=lambda line: line.split("  ", 1)[1])
 
 
