@@ -303,7 +303,6 @@ def cmd_derive_params(v: dict, out_dir: Path) -> int:
         label = key.replace("_float", "")
         print(f"{label} = {d[key]}")
     _write(out_dir, "params.json", serialize.json_text(d))
-    _write(out_dir, "params.txt", serialize.plan_to_text(plan))
     return EXIT_OK
 
 
@@ -462,10 +461,6 @@ def cmd_weyl_ensemble(v: dict, out_dir: Path) -> int:
     rd = report.as_dict()
     _write(out_dir, "report.json", serialize.json_text(rd))
     _write(out_dir, "trials.csv", serialize.trials_csv(rd))
-    _write(out_dir, "params.json", serialize.json_text(
-        {"schema": "torweyl.params.v3",
-         "config": rd["config"],
-         "plans": [rec["plan"] for rec in rd["per_h"]]}))
     for rec in report.per_h:
         tag = f"{rec.h:g}"
         if rec.baseline.eigvals is not None:

@@ -184,6 +184,12 @@ def weyl_prediction(volume: float, h: float) -> float:
     return volume / (TWO_PI * h)
 
 
+def _json_number(v: float | None) -> float | None:
+    """v, or None (JSON's null) where v is None or not finite, as a failed
+    trial's relative error or a probe whose SVD did not converge is."""
+    return v if v is not None and math.isfinite(v) else None
+
+
 @dataclass(frozen=True)
 class TrialResult:
     seed: int | None
@@ -197,13 +203,12 @@ class TrialResult:
 
     def as_dict(self) -> dict:
         # raw eigenvalues stay out: the eigenvalue CSV files carry them
-        rel = self.relative_error if math.isfinite(self.relative_error) else None
         return {
             "seed": self.seed,
             "count": self.count,
-            "relative_error": rel,
-            "sigma_min_probes": list(self.sigma_min_probes),
-            "logdet_probes": list(self.logdet_probes),
+            "relative_error": _json_number(self.relative_error),
+            "sigma_min_probes": [_json_number(v) for v in self.sigma_min_probes],
+            "logdet_probes": [_json_number(v) for v in self.logdet_probes],
             "eta": self.eta,
             "error": self.error,
         }

@@ -1,4 +1,4 @@
-"""Text formats for symbols, regions, plans and reports.
+"""Text formats for symbols, regions and reports.
 
 Everything here is line-oriented and diff-friendly.  Floats are written with
 repr (shortest round-trip), so identical inputs always produce identical
@@ -14,11 +14,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .perturbation import PerturbationPlan
 from .symbols import BoundaryTube, Disk, Rectangle, Region, SymbolSpec, TrigPoly
 
 SYMBOL_HEADER = "symbol v1"
-PLAN_HEADER = "plan v1"
 
 
 # ---------------------------------------------------------------------------
@@ -107,17 +105,6 @@ def dumps_region(region: Region) -> str:
     if isinstance(region, BoundaryTube):
         return f"tube {region.r!r} {dumps_region(region.base)}"
     raise TypeError(f"not a region: {region!r}")
-
-
-# ---------------------------------------------------------------------------
-# plans
-# ---------------------------------------------------------------------------
-
-def plan_to_text(plan: PerturbationPlan) -> str:
-    lines = [PLAN_HEADER]
-    for key, val in plan.as_dict().items():
-        lines.append(f"{key} = {val!r}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Command-line front door tests."""
 
 import json
+import math
 import os
 import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import trial_budget, traced_peak
 
@@ -21,8 +23,19 @@ from torweyl.cli import (
     parse_config,
     read_keys,
 )
+from torweyl.experiments import InvalidConfigError, ResolutionError
+from torweyl.operators import BandwidthError
+from torweyl.perturbation import EmptyBasisError, ParameterError
 from torweyl.serialize import dumps_region, dumps_symbol
-from torweyl.symbols import Disk, SymbolSpec, TrigPoly, catalog_symbol
+from torweyl.spectral import DegenerateGapError, SingularMatrixError, SolverError
+from torweyl.symbols import (
+    ContainmentError,
+    DegenerateFitError,
+    Disk,
+    SymbolSpec,
+    TrigPoly,
+    catalog_symbol,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -77,7 +90,8 @@ class TestDeriveParams:
         assert "N1 = 10.0" in out
         params = json.loads((tmp_path / "params.json").read_text())
         assert params["D"] == 11246
-        assert (tmp_path / "params.txt").exists()
+        # the plan is written once
+        assert [p.name for p in tmp_path.iterdir()] == ["params.json"]
 
     def test_invalid_window_is_config_error(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -187,7 +201,11 @@ class TestWeylEnsemble:
             assert code == EXIT_OK
             # no count-error bound is fitted or printed
             assert "count-bound" not in stdout
-        for name in ("report.json", "trials.csv", "params.json"):
+        # report.json is the one record of the config and the plans
+        files = sorted(p.name for p in out_a.iterdir())
+        assert files == ["eigs_0.1_0.csv", "eigs_0.1_base.csv", "report.json",
+                         "trials.csv"]
+        for name in files:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         report = json.loads((out_a / "report.json").read_text())
         assert report["schema"] == "torweyl.report.v4"
@@ -200,9 +218,6 @@ class TestWeylEnsemble:
             assert "success_fraction_bound" not in rec and "eps0" not in rec
             for trial in [rec["baseline"], *rec["trials"]]:
                 assert "prediction" not in trial
-        params = json.loads((out_a / "params.json").read_text())
-        assert params["schema"] == "torweyl.params.v3"
-        assert params["config"] == report["config"]
         # the rounding floor of every trial matrix, the baseline's too
         records = [report["per_h"][0]["baseline"], *report["per_h"][0]["trials"]]
         assert all(r["eta"] > 0.0 for r in records)
@@ -210,8 +225,28 @@ class TestWeylEnsemble:
         assert report["config"]["n_trials"] == 1
         rows = (out_a / "trials.csv").read_text().splitlines()
         assert rows[0] == "schema=torweyl.trials.v1"
-        assert (out_a / "eigs_0.1_base.csv").exists()
-        assert (out_a / "eigs_0.1_0.csv").exists()
+
+    def test_probe_whose_svd_fails_is_written_null(
+            self, capsys, tmp_path, monkeypatch):
+        # with no inverse-iteration step, each sigma_min probe goes to the
+        # dense SVD, and one that does not converge is NaN: the run still
+        # writes its report, with null for that probe
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(spectral, "PSEUDO_STEPS", 0)
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        cfg = write_cfg(tmp_path, {**WEYL_TINY, "run.trials_n": "2",
+                                   "probes.boundary_n": "2"})
+        code, _, _ = run(capsys, "weyl-ensemble", "--config", str(cfg),
+                         "--out", str(tmp_path / "out"))
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        rec = report["per_h"][0]
+        for trial in [rec["baseline"], *rec["trials"]]:
+            assert trial["error"] is None
+            assert trial["sigma_min_probes"] == [None, None]
+            assert all(math.isfinite(v) for v in trial["logdet_probes"])
 
     def test_outputs_do_not_depend_on_blas_threads_or_workers(self, tmp_path):
         # OPENBLAS_NUM_THREADS is read when the library loads, so each
@@ -655,3 +690,30 @@ class TestBadNumbers:
                            "--out", str(tmp_path / "out"), *flags)
         assert code == EXIT_CONFIG
         assert "workers" in err
+
+
+class TestExitCodes:
+    # main alone maps an error's class to the exit code, whichever command
+    # raised it, so a stand-in command raises each class in turn
+    @pytest.mark.parametrize("error, expected", [
+        *(pytest.param(cls, EXIT_NUMERIC, id=cls.__name__) for cls in (
+            SolverError, SingularMatrixError, DegenerateGapError,
+            DegenerateFitError, ResolutionError, np.linalg.LinAlgError,
+            ZeroDivisionError)),
+        *(pytest.param(cls, EXIT_CONFIG, id=cls.__name__) for cls in (
+            InvalidConfigError, ContainmentError, BandwidthError,
+            ParameterError, EmptyBasisError, ValueError)),
+    ])
+    def test_error_class_sets_exit_code(self, capsys, tmp_path, monkeypatch,
+                                        error, expected):
+        def fail(values, out_dir):
+            raise error("raised by the stand-in command")
+
+        monkeypatch.setitem(COMMANDS, "derive-params", (fail, {}))
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("")
+        code, _, err = run(capsys, "derive-params", "--config", str(cfg),
+                           "--out", str(tmp_path / "out"))
+        assert code == expected
+        label = "numeric failure" if expected == EXIT_NUMERIC else "config error"
+        assert err == f"{label}: raised by the stand-in command\n"

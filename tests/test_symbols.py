@@ -311,14 +311,6 @@ class TestSerialization:
         assert (serialize.dumps_region(BoundaryTube(Rectangle(0, 1, 0, 1), 0.1))
                 == "tube 0.1 rectangle 0 1 0 1")
 
-    def test_plan_text_record(self):
-        from torweyl.perturbation import derive_params
-
-        plan = derive_params(n=1, s=2, epsilon=0.5, kappa=0.25, h=0.1,
-                             l_cap=0.5)
-        text = serialize.plan_to_text(plan)
-        assert "N1 = '10'" in text and "L_capped = True" in text
-
 
 def scan_distance(samples, z):
     """The reference: min |samples - z| by a scan over every sample."""
