@@ -13,7 +13,8 @@ degenerate gap or fit, an unresolved quasimode, an arithmetic error), and 2
 for any other ValueError, a bad input value: out of range or not finite, a
 repeated --h on a single-h command, N above 4096, a coefficient wider than
 2K, no certified xi-slab, a malformed symbol file, a non-integer or repeated
-frequency in line.g_coeffs.
+frequency in line.g_coeffs, a config or symbol file that cannot be read, an
+--out that is, or lies under, a file.
 """
 
 from __future__ import annotations
@@ -96,12 +97,19 @@ _NUMERIC_ERRORS = (
 # config file parsing
 # ---------------------------------------------------------------------------
 
+def read_file(path: Path, what: str) -> str:
+    """A config or symbol file's text; an unreadable one is a config error."""
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
+
+
 def parse_config(path: Path) -> dict[str, tuple[str, int]]:
     """Read `key = value` lines; returns key -> (value, line number)."""
-    if not path.exists():
-        raise InvalidConfigError(f"config file not found: {path}")
     out: dict[str, tuple[str, int]] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_file(path, "config file").splitlines(),
+                                 start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -184,10 +192,7 @@ def tau0(raw: str) -> float | None:
 
 
 def symbol_file(raw: str):
-    path = Path(raw)
-    if not path.exists():
-        raise ValueError(f"symbol file not found: {path}")
-    return serialize.loads_symbol(path.read_text())
+    return serialize.loads_symbol(read_file(Path(raw), "symbol file"))
 
 
 def numbers(raw: str, names: str) -> tuple[float, ...]:
@@ -271,6 +276,14 @@ def one_of(values: dict, first: str, second: str, required: bool = True):
     if a is None and b is None and required:
         raise InvalidConfigError(f"missing {first} or {second}")
     return a if a is not None else b
+
+
+def check_out_dir(out_dir: Path) -> None:
+    """Fail before any work on an --out that is, or lies under, a file.  The
+    directory itself is made at the first write: a failed run leaves none."""
+    nearest = next((p for p in (out_dir, *out_dir.parents) if p.exists()), out_dir)
+    if not nearest.is_dir():
+        raise InvalidConfigError(f"--out {out_dir}: {nearest} is not a directory")
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
@@ -463,9 +476,8 @@ def cmd_weyl_ensemble(v: dict, out_dir: Path) -> int:
     _write(out_dir, "trials.csv", serialize.trials_csv(rd))
     for rec in report.per_h:
         tag = f"{rec.h:g}"
-        if rec.baseline.eigvals is not None:
-            _write(out_dir, f"eigs_{tag}_base.csv",
-                   serialize.eigs_csv(rec.baseline.eigvals))
+        _write(out_dir, f"eigs_{tag}_base.csv",
+               serialize.eigs_csv(rec.baseline.eigvals))
         for i, trial in enumerate(rec.trials):
             if trial.eigvals is not None:
                 _write(out_dir, f"eigs_{tag}_{i}.csv",
@@ -707,6 +719,7 @@ def main(argv=None) -> int:
     run, table = COMMANDS[args.command]
     try:
         values = read_keys(parse_config(Path(args.config)), table, args)
+        check_out_dir(Path(args.out))
         return run(values, Path(args.out))
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

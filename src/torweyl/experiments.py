@@ -97,7 +97,7 @@ class ExperimentConfig:
         return kappa_floor(self.spec) if self.kappa == "auto" else float(self.kappa)
 
     def as_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)
+        out = {f.name: _json_value(getattr(self, f.name)) for f in fields(self)
                if f.name != "spec"}
         out.update(
             symbol=serialize.dumps_symbol(self.spec),
@@ -184,10 +184,17 @@ def weyl_prediction(volume: float, h: float) -> float:
     return volume / (TWO_PI * h)
 
 
-def _json_number(v: float | None) -> float | None:
-    """v, or None (JSON's null) where v is None or not finite, as a failed
-    trial's relative error or a probe whose SVD did not converge is."""
-    return v if v is not None and math.isfinite(v) else None
+def _json_value(v):
+    """v as a report holds it: a record by its own as_dict, a tuple or list
+    as a list, and a float that is not finite as None (JSON's null), as a
+    failed trial's relative error or a probe whose SVD did not converge is."""
+    if hasattr(v, "as_dict"):
+        return v.as_dict()
+    if isinstance(v, (tuple, list)):
+        return [_json_value(x) for x in v]
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    return v
 
 
 @dataclass(frozen=True)
@@ -203,15 +210,8 @@ class TrialResult:
 
     def as_dict(self) -> dict:
         # raw eigenvalues stay out: the eigenvalue CSV files carry them
-        return {
-            "seed": self.seed,
-            "count": self.count,
-            "relative_error": _json_number(self.relative_error),
-            "sigma_min_probes": [_json_number(v) for v in self.sigma_min_probes],
-            "logdet_probes": [_json_number(v) for v in self.logdet_probes],
-            "eta": self.eta,
-            "error": self.error,
-        }
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)
+                if f.name != "eigvals"}
 
 
 @dataclass(frozen=True)
@@ -336,21 +336,7 @@ class HRecord:
     success_fraction_rel: float
 
     def as_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "K": self.K,
-            "matrix_dim": self.matrix_dim,
-            "prediction": self.prediction,
-            "plan": self.plan.as_dict(),
-            "baseline": self.baseline.as_dict(),
-            "trials": [t.as_dict() for t in self.trials],
-            "eps_tilde": self.eps_tilde,
-            "tube_volume": self.tube_volume,
-            "rel_err_quartiles": [
-                q if math.isfinite(q) else None for q in self.rel_err_quartiles
-            ],
-            "success_fraction_rel": self.success_fraction_rel,
-        }
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -360,12 +346,8 @@ class WeylReport:
     validation_warnings: tuple[str, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "schema": "torweyl.report.v4",
-            "config": self.config.as_dict(),
-            "per_h": [rec.as_dict() for rec in self.per_h],
-            "validation_warnings": list(self.validation_warnings),
-        }
+        return {"schema": "torweyl.report.v4",
+                **{f.name: _json_value(getattr(self, f.name)) for f in fields(self)}}
 
 
 def _quartiles(values: Sequence[float]) -> tuple[float, float, float]:

@@ -430,29 +430,31 @@ def _floor_slope(spec: SymbolSpec, r: float, ell_constant: float) -> float:
     return slope - sum(a * s * r ** (a - 1) for a, s in enumerate(sups) if a >= 1)
 
 
-def certify_grid(spec: SymbolSpec, region: Region, grid: PhaseGrid) -> tuple[bool, str]:
-    """Check that the grid's xi-slab contains the preimage of the region.
+def _slab_failure(spec: SymbolSpec, r: float, ell_constant: float,
+                  target: float) -> str | None:
+    """Why |xi| = r bounds no certified xi-slab for sup|z| = target, or None:
+    the floor must exceed target at r and not decrease, so it stays above."""
+    val = symbol_floor(spec, r, ell_constant)
+    if not val > target:
+        return (f"floor |xi|^m/C - lower-order sup = {val:.6g} at |xi|={r:.6g} "
+                f"does not exceed sup|z| = {target:.6g} over the region")
+    if _floor_slope(spec, r, ell_constant) < 0.0:
+        return (f"ellipticity floor is decreasing at |xi|={r:.6g}; "
+                "enlarge the xi bounds")
+    return None
 
-    At both xi endpoints the ellipticity floor must exceed sup |z| over the
-    region and be non-decreasing there, so the floor stays above the region
-    for every xi outside the slab.
-    """
+
+def certify_grid(spec: SymbolSpec, region: Region, grid: PhaseGrid) -> tuple[bool, str]:
+    """Check that the grid's xi-slab contains the preimage of the region:
+    both xi endpoints must pass ``_slab_failure``."""
     holds, c = check_ellipticity(spec)
     if not holds:
         return False, "top coefficient vanishes on the sample grid"
     target = region.sup_abs()
     for r in (abs(grid.xi_lo), abs(grid.xi_hi)):
-        val = symbol_floor(spec, r, c)
-        if not val > target:
-            return False, (
-                f"floor |xi|^m/C - lower-order sup = {val:.6g} at |xi|={r:.6g} "
-                f"does not exceed sup|z| = {target:.6g} over the region"
-            )
-        if _floor_slope(spec, r, c) < 0.0:
-            return False, (
-                f"ellipticity floor is decreasing at |xi|={r:.6g}; "
-                "enlarge the xi bounds"
-            )
+        failure = _slab_failure(spec, r, c, target)
+        if failure is not None:
+            return False, failure
     return True, "certified"
 
 
@@ -463,16 +465,15 @@ def certified_xi_bound(spec: SymbolSpec, region: Region) -> float:
         raise ContainmentError("symbol is not elliptic; no xi bound exists")
     target = region.sup_abs()
     if spec.m == 0:
-        floor = symbol_floor(spec, 1.0, c)
-        if floor > target:
+        # the floor is the constant 1/C, whose slope is 0
+        failure = _slab_failure(spec, 1.0, c, target)
+        if failure is None:
             return 1.0
         raise ContainmentError(
-            f"order-0 symbol cannot certify a compact preimage: its floor "
-            f"|p| >= {floor:.6g} does not exceed sup|z| = {target:.6g}"
-        )
+            f"order-0 symbol cannot certify a compact preimage: {failure}")
 
     def ok(r: float) -> bool:
-        return symbol_floor(spec, r, c) > target and _floor_slope(spec, r, c) >= 0.0
+        return _slab_failure(spec, r, c, target) is None
 
     hi = 1.0
     for _ in range(200):

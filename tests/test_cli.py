@@ -692,6 +692,38 @@ class TestBadNumbers:
         assert "workers" in err
 
 
+class TestUnusablePaths:
+    # a config or symbol file that cannot be read, and an --out that is, or
+    # lies under, a file: each exits 2 before any work, naming the path
+    @pytest.mark.parametrize("command, case", [
+        ("volume", "out is a file"),
+        ("derive-params", "out under a file"),
+        ("derive-params", "config is a directory"),
+        ("volume", "symbol file is a directory"),
+    ])
+    def test_exits_2_before_any_work(self, capsys, tmp_path, command, case):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = CONFIGS / {v: k for k, v in SHIPPED.items()}[command]
+        out, named = tmp_path / "out", blocker
+        if case == "out is a file":
+            out = blocker
+        elif case == "out under a file":
+            out = blocker / "sub"
+        elif case == "config is a directory":
+            cfg = named = CONFIGS
+        else:
+            cfg = write_cfg(tmp_path, by_file(VOLUME_TINY, str(CONFIGS)))
+            named = CONFIGS
+        code, stdout, err = run(capsys, command, "--config", str(cfg),
+                                "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err.startswith("config error: ") and str(named) in err
+        assert blocker.read_text() == ""
+        assert not (tmp_path / "out").exists()
+
+
 class TestExitCodes:
     # main alone maps an error's class to the exit code, whichever command
     # raised it, so a stand-in command raises each class in turn

@@ -1,6 +1,7 @@
 """Experiment orchestration tests: trials, ensembles, line model, probes."""
 
 import dataclasses
+import json
 import math
 import sys
 import threading
@@ -14,6 +15,7 @@ from torweyl.experiments import (
     ExperimentConfig,
     InvalidConfigError,
     ResolutionError,
+    TrialResult,
     _context_for_h,
     _quartiles,
     _run_trial_in_context,
@@ -300,6 +302,29 @@ class TestRunEnsemble:
         preds = {rec.h: rec.prediction for rec in rep.per_h}
         rows = [line.split(",") for line in lines[2:]]
         assert all(float(row[4]) == preds[float(row[0])] for row in rows)
+
+
+class TestReportRecords:
+    """Each record is written from its own fields, and every float among
+    them, however deep, follows one rule: a value that is not finite is
+    written null, never left to fail the whole report."""
+
+    def test_non_finite_eta_is_written_null(self):
+        trial = TrialResult(seed=1, count=0, relative_error=0.0,
+                            sigma_min_probes=(1.0,), logdet_probes=(-2.0,),
+                            eta=math.inf)
+        d = json.loads(json_text(trial.as_dict()))
+        assert d["eta"] is None
+        assert d["sigma_min_probes"] == [1.0] and d["logdet_probes"] == [-2.0]
+
+    def test_non_finite_h_record_floats_are_written_null(self):
+        rec = run_ensemble(small_config(n_trials=1)).per_h[0]
+        bad = dataclasses.replace(rec, prediction=math.nan,
+                                  tube_volume=-math.inf, eps_tilde=math.inf)
+        d = json.loads(json_text(bad.as_dict()))
+        assert d["prediction"] is None and d["tube_volume"] is None
+        assert d["eps_tilde"] is None
+        assert d["h"] == rec.h and d["trials"] == [rec.trials[0].as_dict()]
 
 
 class TestQuartiles:
