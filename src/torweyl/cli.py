@@ -14,7 +14,8 @@ for any other ValueError, a bad input value: out of range or not finite, a
 repeated --h on a single-h command, N above 4096, a coefficient wider than
 2K, no certified xi-slab, a malformed symbol file, a non-integer or repeated
 frequency in line.g_coeffs, a config or symbol file that cannot be read, an
---out that is, or lies under, a file.
+--out that is, or lies under, a file, an output file that cannot be written
+(the files written before it stay).
 """
 
 from __future__ import annotations
@@ -287,8 +288,14 @@ def check_out_dir(out_dir: Path) -> None:
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text)
+    """Write one output file; one that cannot be written is a config error,
+    and the files written before it stay."""
+    path = out_dir / name
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +405,16 @@ def cmd_spectrum(v: dict, out_dir: Path) -> int:
     region = one_of(v, "region.rect", "region.disk")
     h = v["grid.h"]
     grid = truncation_grid(h, certified_xi_bound(spec, region), v["grid.k_rule"])
+    seed = v["perturb.seed"]
+    # the plan and the draw come first, so that a bad perturb.* value fails
+    # before any factorization and any write
+    if seed is not None:
+        plan = derive_params(
+            n=1, s="2", epsilon="0.5", kappa=kappa_floor(spec),
+            h=h, mode=v["perturb.mode"], delta_eff=v["perturb.delta_eff"],
+            l_cap=h * grid.K,
+        )
+        pot = sample_potential(plan, split_seed(seed, 0))
     matrix = assemble_differential(spec, grid)
     tag = f"{h:g}"
     # one Schur form per matrix gives its eigenvalues and the resolvent
@@ -410,14 +427,7 @@ def cmd_spectrum(v: dict, out_dir: Path) -> int:
         "schema": "torweyl.spectrum.v2",
         "h": h, "K": grid.K, "N": grid.N,
     }
-    seed = v["perturb.seed"]
     if seed is not None:
-        plan = derive_params(
-            n=1, s="2", epsilon="0.5", kappa=kappa_floor(spec),
-            h=h, mode=v["perturb.mode"], delta_eff=v["perturb.delta_eff"],
-            l_cap=h * grid.K,
-        )
-        pot = sample_potential(plan, split_seed(seed, 0))
         # the base form is written; P goes once its perturbed copy exists
         del target
         matrix = build_perturbed(matrix, plan, pot)

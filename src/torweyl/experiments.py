@@ -636,7 +636,7 @@ MATRIX_GUARD = 0.02
 
 def _matrix_guard_ok(candidate, test_points, grid: GridParams) -> bool:
     pt = assemble_toroidal_pdo(candidate, grid)
-    return all(s >= MATRIX_GUARD for s in singular_values(pt, test_points))
+    return all(s >= MATRIX_GUARD for s in singular_values(schur(pt), test_points))
 
 
 def shifted_symbol_for(spec: SymbolSpec, z_center: complex,

@@ -135,7 +135,8 @@ def derive_params(
 
     The window exponents are taken at equality (smallest admissible M and
     M~, hence the smallest mode count and coefficient radius), with the
-    unspecified window constants set to 1.  ``l_cap``, when given, clamps
+    unspecified window constants set to 1, so every ``window_checks``
+    inequality holds exactly.  ``l_cap``, when given, clamps
     the mode cutoff to what a finite matrix can represent; the clamp is
     recorded and the exponent checks keep referring to the uncapped value.
     """
@@ -188,7 +189,7 @@ def derive_params(
     else:
         raise ParameterError(f"unknown mode {mode!r}")
 
-    plan = PerturbationPlan(
+    return PerturbationPlan(
         n=n, s=s_f, epsilon=eps_f, kappa=kap_f, h=h, tau0=tau0,
         big_m=big_m, big_m_tilde=big_m_tilde, n1=n1,
         L=L, R=R, D=D, delta=delta,
@@ -196,10 +197,6 @@ def derive_params(
         mode=mode, l_uncapped=l_uncapped, l_capped=capped,
         delta_warning=delta_warning,
     )
-    failed = [name for name, ok in plan.window_checks().items() if not ok]
-    if failed:
-        raise ParameterError(f"window inequalities violated: {failed}")
-    return plan
 
 
 # ---------------------------------------------------------------------------

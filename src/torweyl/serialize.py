@@ -132,18 +132,7 @@ def _cell(v) -> str:
 
 
 def json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2,
-                      allow_nan=False, default=_json_default) + "\n"
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def eigs_csv(eigvals: np.ndarray) -> str:

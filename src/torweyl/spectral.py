@@ -1,8 +1,8 @@
 """Dense linear-algebra layer.
 
 One complex Schur form per matrix (``schur``), from which the eigenvalues,
-the smallest singular value and ln|det| at any shift are read; dense SVDs
-and pivoted LUs for plain matrices; bordered (Grushin) block systems built
+the smallest singular value and ln|det| at any shift are read; a pivoted
+LU for ln|det| of a plain matrix; bordered (Grushin) block systems built
 from singular pairs; the scalar functional-calculus identities for
 Hermitian positive matrices; and the scope in which the bundled BLAS runs
 on one thread.
@@ -324,13 +324,9 @@ def schur(op) -> SchurForm:
     return SchurForm(t, op.grid if isinstance(op, OperatorMatrix) else None)
 
 
-def _as_form(op) -> SchurForm:
-    return op if isinstance(op, SchurForm) else schur(op)
-
-
-def eigenvalues(op) -> np.ndarray:
+def eigenvalues(form: SchurForm) -> np.ndarray:
     """All eigenvalues of the matrix: the diagonal of its Schur form."""
-    return np.diag(_as_form(op).entries).copy()
+    return np.diag(form.entries).copy()
 
 
 def count_in_region(eigs: np.ndarray, region: Region) -> int:
@@ -341,32 +337,23 @@ def count_in_region(eigs: np.ndarray, region: Region) -> int:
     return int(np.count_nonzero(region.contains(eigs)))
 
 
-def singular_values(op, shifts: Sequence[complex]) -> list[float]:
-    """Smallest singular value of M - z for each shift z.
-
-    From a Schur form, sigma_min(T - z) by inverse iteration on one working
-    copy of T, made only if there is a shift (see ``pseudospectrum``); from
-    a plain matrix, by a dense SVD per shift.
+def singular_values(form: SchurForm, shifts: Sequence[complex]) -> list[float]:
+    """Smallest singular value of M - z for each shift z, from M's Schur
+    form: sigma_min(T - z) by inverse iteration on one working copy of T,
+    made only if there is a shift (see ``pseudospectrum``).
     """
-    if isinstance(op, SchurForm):
-        if len(shifts) == 0:
-            return []
-        diag = np.diag(op.entries).copy()
-        t = np.array(op.entries, order="F")
-        y = np.empty(len(diag), dtype=complex)
-        solve = _triangular_solver(t, y)
-        start = _start_vector(len(diag))
-        out = []
-        for z in shifts:
-            np.fill_diagonal(t, diag - z)
-            out.append(_sigma_min_triangular(t, start, y, solve))
-        return out
-    a = _as_matrix(op)
-    try:
-        return [float(np.linalg.svd(a - z * np.eye(len(a)), compute_uv=False)[-1])
-                for z in shifts]
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"SVD did not converge: {exc}") from exc
+    if len(shifts) == 0:
+        return []
+    diag = np.diag(form.entries).copy()
+    t = np.array(form.entries, order="F")
+    y = np.empty(len(diag), dtype=complex)
+    solve = _triangular_solver(t, y)
+    start = _start_vector(len(diag))
+    out = []
+    for z in shifts:
+        np.fill_diagonal(t, diag - z)
+        out.append(_sigma_min_triangular(t, start, y, solve))
+    return out
 
 
 def log_abs_det(op, z: complex = 0.0) -> float:
@@ -384,14 +371,18 @@ def log_abs_det(op, z: complex = 0.0) -> float:
         diag = np.abs(np.diag(op.entries) - z)
         if np.all(diag):
             return float(np.sum(np.log(diag)))
+        # T - z has an exact zero on its diagonal
+        sigma = 0.0
     else:
         a = _as_matrix(op)
-        sign, logdet = np.linalg.slogdet(a - z * np.eye(a.shape[0]))
+        shifted = a - z * np.eye(a.shape[0])
+        sign, logdet = np.linalg.slogdet(shifted)
         if sign != 0:
             return float(logdet)
+        sigma = np.linalg.svd(shifted, compute_uv=False)[-1]
     raise SingularMatrixError(
         f"M - z is singular to working precision (smallest singular "
-        f"value {singular_values(op, [z])[0]:.3e})"
+        f"value {sigma:.3e})"
     )
 
 
@@ -551,39 +542,32 @@ PSEUDO_TOL = 1e-10
 PSEUDO_STEPS = 100
 
 
-def pseudospectrum(op, z_grid: Sequence[complex]) -> list[float]:
-    """Smallest singular value of M - z per grid point, from one Schur form.
+def pseudospectrum(form: SchurForm, z_grid: Sequence[complex]) -> list[float]:
+    """Smallest singular value of M - z per grid point, from M's Schur form.
 
     Method (EigTool's; Trefethen, Acta Numerica 1999): M is factored once
-    into the complex Schur form M = Z T Z* (``schur``; pass the form to
-    reuse it).  Singular values are unitarily invariant, so
-    sigma_min(M - z) = sigma_min(T - z) and Z is never formed.  T is copied
-    once; for each z the copy's diagonal is set to diag(T) - z, and
-    sigma_min(T - z) = rho^{-1/2} is found by inverse iteration on
-    B = ((T - z)* (T - z))^{-1}: two triangular solves, O(N^2), per step,
-    from a fixed start vector, so the output is a pure function of the
-    input.  A step stops once ||B x - rho x|| <= PSEUDO_TOL * rho, where
-    rho = x* B x and |x| = 1.  The iterates are rescaled by powers of 2,
-    which is exact, so rho-sized values are never squared and a tiny
-    sigma_min needs no SVD.
+    into the complex Schur form M = Z T Z* (``schur``).  Singular values
+    are unitarily invariant, so sigma_min(M - z) = sigma_min(T - z) and Z
+    is never formed.  T is copied once; for each z the copy's diagonal is
+    set to diag(T) - z, and sigma_min(T - z) = rho^{-1/2} is found by
+    inverse iteration on B = ((T - z)* (T - z))^{-1}: two triangular
+    solves, O(N^2), per step, from a fixed start vector, so the output is
+    a pure function of the input.  A step stops once
+    ||B x - rho x|| <= PSEUDO_TOL * rho, where rho = x* B x and |x| = 1.
+    The iterates are rescaled by powers of 2, which is exact, so rho-sized
+    values are never squared and a tiny sigma_min needs no SVD.
 
     Accuracy: each value agrees with a dense SVD of M - z to within
     max(1e-10 * sigma_min, N * eps * ||M - z||_2); the second term is the
     backward error of the Schur form.
 
-    Special cases and failures:
+    Special cases:
     - a diagonal entry of T - z that is exactly 0 gives 0.0;
     - a point whose iteration overflows or does not pass the residual test
       within PSEUDO_STEPS steps (clustered smallest singular values) is
       evaluated by a dense SVD of T - z instead, and is NaN if that SVD
-      does not converge;
-    - if the Schur factorization of a plain matrix fails (non-finite
-      entries, or no convergence), every point is NaN.
+      does not converge.
     """
-    try:
-        form = _as_form(op)
-    except SolverError:
-        return [float("nan") for _ in z_grid]
     return singular_values(form, z_grid)
 
 

@@ -375,10 +375,6 @@ class BoundaryTube:
     def sup_abs(self) -> float:
         return self.base.sup_abs() + self.r
 
-    def bounds(self) -> tuple[float, float, float, float]:
-        re_lo, re_hi, im_lo, im_hi = self.base.bounds()
-        return re_lo - self.r, re_hi + self.r, im_lo - self.r, im_hi + self.r
-
 
 Region = Union[Rectangle, Disk, BoundaryTube]
 

@@ -570,6 +570,12 @@ class TestBadNumbers:
          "key 'line.g_coeffs': frequency 1.5: expected integers, each once"),
         ("line-check", {"line.g_coeffs": "1 1 0 1 2 0"}, [],
          "key 'line.g_coeffs': frequency 1: expected integers, each once"),
+        # the perturbation plan is derived before the first factorization
+        ("spectrum", {**SPECTRUM_TINY, "perturb.seed": "1",
+                      "perturb.mode": "bogus"}, [], "unknown mode 'bogus'"),
+        ("spectrum", {**SPECTRUM_TINY, "perturb.seed": "1",
+                      "perturb.delta_eff": "-1"}, [],
+         "delta_eff must be non-negative"),
     ])
     def test_exit_config(self, capsys, tmp_path, command, entries, flags,
                          needle):
@@ -585,6 +591,7 @@ class TestBadNumbers:
                            "--out", str(tmp_path / "out"), *flags)
         assert code == EXIT_CONFIG
         assert needle in err
+        assert not (tmp_path / "out").exists()
 
     # p = e^{ix} + (1 + e^{ix}) xi^2, whose top coefficient vanishes at
     # x = pi; and p = 2 + e^{ix}, of order 0, whose floor |p| >= 1 lies
@@ -722,6 +729,24 @@ class TestUnusablePaths:
         assert err.startswith("config error: ") and str(named) in err
         assert blocker.read_text() == ""
         assert not (tmp_path / "out").exists()
+
+    # an output file that cannot be written, found only when it is written:
+    # exit 2 naming it, and the files written before it stay
+    @pytest.mark.parametrize("command, entries, name, kept", [
+        ("volume", VOLUME_TINY, "volume.json", []),
+        ("spectrum", SPECTRUM_TINY, "params.json",
+         ["eigs_0.1_base.csv", "pseudospec_0.1.csv"]),
+    ])
+    def test_unwritable_output_file_exits_2(self, capsys, tmp_path, command,
+                                            entries, name, kept):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        code, _, err = run(capsys, command,
+                           "--config", str(write_cfg(tmp_path, entries)),
+                           "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: cannot write {out / name}: ")
+        assert sorted(p.name for p in out.iterdir()) == sorted([name, *kept])
 
 
 class TestExitCodes:
