@@ -543,6 +543,16 @@ class TestPseudospectrum:
         t = np.triu(random_complex(np.random.default_rng(15), 6))
         assert pseudospectrum(schur(t), [t[2, 2], t[2, 2] + 0.5])[0] == 0.0
 
+    def test_non_finite_matrix_gives_nan(self):
+        # schur refuses such a matrix; a form built around one takes the
+        # dense-SVD fallback, which does not converge
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = np.inf
+        with pytest.raises(SolverError):
+            schur(m)
+        got = pseudospectrum(SchurForm(np.asfortranarray(m), None), [0.0, 2.0])
+        assert len(got) == 2 and all(math.isnan(v) for v in got)
+
     @pytest.mark.parametrize("tiny", [1e-120, 1e-200])
     def test_tiny_smallest_singular_value_without_overflow(self, tiny):
         # unscaled, the iteration squares values of size 1 / tiny^2: numpy
