@@ -64,9 +64,9 @@ from .spectral import (
     det_factorization_residual,
     eigenvalues,
     grushin_solve,
-    pseudospectrum,
     schur,
     single_blas_thread,
+    singular_values as pseudospectrum,
     spectral_functional,
 )
 from .symbols import (

@@ -139,6 +139,10 @@ def derive_params(
     inequality holds exactly.  ``l_cap``, when given, clamps
     the mode cutoff to what a finite matrix can represent; the clamp is
     recorded and the exponent checks keep referring to the uncapped value.
+    Callers pass hK: q's modes |k| <= K keep its Toeplitz band |j - k| <= K
+    off the matrix corners (at 2hK it reaches them, and the acceptance
+    rectangle's mean count fell from 16.88 to 13.75); the modes
+    hK < |xi| <= L(h) are left out.
     """
     s_f = _as_fraction(s)
     eps_f = _as_fraction(epsilon)

@@ -1,10 +1,10 @@
 """Dense linear-algebra layer.
 
-One complex Schur form per matrix (``schur``), from which the eigenvalues,
-the smallest singular value and ln|det| at any shift are read; a pivoted
-LU for ln|det| of a plain matrix; bordered (Grushin) block systems built
-from singular pairs; the scalar functional-calculus identities for
-Hermitian positive matrices; and the scope in which the bundled BLAS runs
+One complex Schur form per matrix (``schur``), the only input from which
+the eigenvalues, the smallest singular value and ln|det| at any shift are
+read; bordered (Grushin) block systems built from singular pairs, whose
+ln|det| identity is checked by a pivoted LU; the scalar functional-calculus
+identities for Hermitian positive matrices; and the scope in which the bundled BLAS runs
 on one thread.
 """
 
@@ -43,56 +43,52 @@ class DegenerateGapError(ValueError):
 # BLAS threads
 # ---------------------------------------------------------------------------
 
-# the OpenBLAS copies the numpy and scipy wheels bundle: the package, the
-# library file in its ``<package>.libs`` directory, and the suffix of the
+# the OpenBLAS copies the numpy and scipy wheels bundle: per package, the
+# library file in its ``<package>.libs`` directory and the suffix of the
 # thread-count entry points
-_OPENBLAS_COPIES = (
-    ("numpy", "libscipy_openblas64_-*.so", "64_"),
-    ("scipy", "libscipy_openblas-*.so", ""),
-)
+_OPENBLAS_COPIES = {
+    "numpy": ("libscipy_openblas64_-*.so", "64_"),
+    "scipy": ("libscipy_openblas-*.so", ""),
+}
 
 
-def _loaded_openblas(package: str, pattern: str,
-                     names: Sequence[str]) -> Iterator[tuple]:
-    """The named functions of each OpenBLAS library file bundled with the
-    package that this process has already loaded and that exports them all.
+def _loaded_openblas(package: str) -> ctypes.CDLL | None:
+    """The OpenBLAS library file bundled with the package, if this process
+    has already loaded it; None otherwise.
 
     A package that is not imported is not searched, and a library file
-    that is not loaded is not loaded here, so the functions found act on
-    the BLAS that the package calls.
+    that is not loaded is not loaded here, so the library found is the
+    BLAS that the package calls.
     """
     module = sys.modules.get(package)
     if module is None:
-        return
+        return None
     libs = Path(module.__file__).parents[1] / f"{package}.libs"
-    for path in sorted(libs.glob(pattern)):
-        try:
-            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-            fns = tuple(getattr(lib, name) for name in names)
-        except (OSError, AttributeError):
-            continue
-        yield fns
+    for path in sorted(libs.glob(_OPENBLAS_COPIES[package][0])):
+        with contextlib.suppress(OSError):
+            return ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+    return None
 
 
 def _openblas_kernel() -> str | None:
     """The CPU kernel that numpy's bundled OpenBLAS dispatches to, or None
     where numpy bundles none: the library whose zgees ``schur`` calls."""
-    package, pattern, _ = _OPENBLAS_COPIES[0]
-    for (corename,) in _loaded_openblas(package, pattern,
-                                        ["scipy_openblas_get_corename64_"]):
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        return corename().decode()
-    return None
+    lib = _loaded_openblas("numpy")
+    if lib is None:
+        return None
+    corename = lib.scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def _openblas_threads() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
     """(get, set) thread-count functions of each bundled OpenBLAS copy that
     is loaded now."""
     found = []
-    for package, pattern, suffix in _OPENBLAS_COPIES:
-        for get, put in _loaded_openblas(package, pattern, [
-                f"scipy_openblas_get_num_threads{suffix}",
-                f"scipy_openblas_set_num_threads{suffix}"]):
+    for package, (_, suffix) in _OPENBLAS_COPIES.items():
+        if (lib := _loaded_openblas(package)) is not None:
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
             get.argtypes, get.restype = [], ctypes.c_int
             put.argtypes, put.restype = [ctypes.c_int], None
             found.append((get, put))
@@ -209,11 +205,12 @@ def _numpy_blas():
     """(zgeev_work, zgees_work, cblas_ztrsv) of the ILP64 OpenBLAS that numpy
     bundles, or None where numpy was built against another BLAS; scipy's
     zgees and ztrsv are then the fallback.  The calls release the GIL."""
-    package, pattern, _ = _OPENBLAS_COPIES[0]
-    fns = next(_loaded_openblas(package, pattern, [
-        "scipy_LAPACKE_zgeev_work64_", "scipy_LAPACKE_zgees_work64_",
-        "scipy_cblas_ztrsv64_"]), None)
-    for fn, args, res in zip(fns or (), (_GEEV_ARGS, _GEES_ARGS, _TRSV_ARGS),
+    lib = _loaded_openblas("numpy")
+    if lib is None:
+        return None
+    fns = (lib.scipy_LAPACKE_zgeev_work64_, lib.scipy_LAPACKE_zgees_work64_,
+           lib.scipy_cblas_ztrsv64_)
+    for fn, args, res in zip(fns, (_GEEV_ARGS, _GEES_ARGS, _TRSV_ARGS),
                              (_I64, _I64, None)):
         fn.argtypes, fn.restype = args, res
     return fns
@@ -324,8 +321,16 @@ def schur(op) -> SchurForm:
     return SchurForm(t, op.grid if isinstance(op, OperatorMatrix) else None)
 
 
+def _check_form(form) -> None:
+    """TypeError unless form is a SchurForm, the readers' only input."""
+    if not isinstance(form, SchurForm):
+        raise TypeError(f"expected a SchurForm from schur(), got "
+                        f"{type(form).__name__}")
+
+
 def eigenvalues(form: SchurForm) -> np.ndarray:
     """All eigenvalues of the matrix: the diagonal of its Schur form."""
+    _check_form(form)
     return np.diag(form.entries).copy()
 
 
@@ -337,11 +342,40 @@ def count_in_region(eigs: np.ndarray, region: Region) -> int:
     return int(np.count_nonzero(region.contains(eigs)))
 
 
+# inverse iteration for sigma_min(T - z): residual tolerance relative to the
+# Rayleigh quotient, and steps per point before the dense SVD takes over
+PSEUDO_TOL = 1e-10
+PSEUDO_STEPS = 100
+
+
 def singular_values(form: SchurForm, shifts: Sequence[complex]) -> list[float]:
     """Smallest singular value of M - z for each shift z, from M's Schur
-    form: sigma_min(T - z) by inverse iteration on one working copy of T,
-    made only if there is a shift (see ``pseudospectrum``).
+    form; the pseudospectrum is this on a grid of shifts.
+
+    Method (EigTool's; Trefethen, Acta Numerica 1999): M is factored once
+    into the complex Schur form M = Z T Z* (``schur``).  Singular values
+    are unitarily invariant, so sigma_min(M - z) = sigma_min(T - z) and Z
+    is never formed.  T is copied once, if there is a shift; for each z the
+    copy's diagonal is set to diag(T) - z, and sigma_min(T - z) = rho^{-1/2}
+    is found by inverse iteration on B = ((T - z)* (T - z))^{-1}: two
+    triangular solves, O(N^2), per step, from a fixed start vector, so the
+    output is a pure function of the input.  A step stops once
+    ||B x - rho x|| <= PSEUDO_TOL * rho, where rho = x* B x and |x| = 1.
+    The iterates are rescaled by powers of 2, which is exact, so rho-sized
+    values are never squared and a tiny sigma_min needs no SVD.
+
+    Accuracy: each value agrees with a dense SVD of M - z to within
+    max(1e-10 * sigma_min, N * eps * ||M - z||_2); the second term is the
+    backward error of the Schur form.
+
+    Special cases:
+    - a diagonal entry of T - z that is exactly 0 gives 0.0;
+    - a shift whose iteration overflows or does not pass the residual test
+      within PSEUDO_STEPS steps (clustered smallest singular values) is
+      evaluated by a dense SVD of T - z instead, and is NaN if that SVD
+      does not converge.
     """
+    _check_form(form)
     if len(shifts) == 0:
         return []
     diag = np.diag(form.entries).copy()
@@ -356,34 +390,16 @@ def singular_values(form: SchurForm, shifts: Sequence[complex]) -> list[float]:
     return out
 
 
-def log_abs_det(op, z: complex = 0.0) -> float:
-    """ln |det(M - z)|.
+def log_abs_det(form: SchurForm, z: complex) -> float:
+    """ln |det(M - z)| from M's Schur form: the sum of ln|t_ii - z|.
 
-    From a Schur form, the sum of ln|t_ii - z|; from a plain matrix, the
-    sum of pivot log-magnitudes of the partial-pivot LU (zgetrf) in numpy's
-    LAPACK, by np.linalg.slogdet.  Plain matrices keep the LU and are not
-    sent through ``schur``: on identity-checks' near-singular matrices
-    (N = 20, smallest singular value 1e-10) the worst det-factorization
-    residual read 9.3e-8 by the LU and 3.1e-7 by the Schur form, against a
-    tolerance of 1e-6.  An exactly zero pivot raises SingularMatrixError.
+    An exact zero on the diagonal of T - z raises SingularMatrixError.
     """
-    if isinstance(op, SchurForm):
-        diag = np.abs(np.diag(op.entries) - z)
-        if np.all(diag):
-            return float(np.sum(np.log(diag)))
-        # T - z has an exact zero on its diagonal
-        sigma = 0.0
-    else:
-        a = _as_matrix(op)
-        shifted = a - z * np.eye(a.shape[0])
-        sign, logdet = np.linalg.slogdet(shifted)
-        if sign != 0:
-            return float(logdet)
-        sigma = np.linalg.svd(shifted, compute_uv=False)[-1]
-    raise SingularMatrixError(
-        f"M - z is singular to working precision (smallest singular "
-        f"value {sigma:.3e})"
-    )
+    _check_form(form)
+    diag = np.abs(np.diag(form.entries) - z)
+    if not np.all(diag):
+        raise SingularMatrixError("T - z has an exact zero on its diagonal")
+    return float(np.sum(np.log(diag)))
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +464,20 @@ def grushin_solve(op, z: complex, n_small: int) -> GrushinSolution:
     )
 
 
+def _lu_log_abs_det(a: np.ndarray, z: complex = 0.0) -> float:
+    """ln |det(a - z)| of a plain matrix by np.linalg.slogdet, from numpy's
+    partial-pivot LU (zgetrf), which keeps the identity checks' residuals
+    below the Schur form's (see README); an exact zero pivot raises
+    SingularMatrixError."""
+    shifted = a - z * np.eye(a.shape[0])
+    sign, logdet = np.linalg.slogdet(shifted)
+    if sign == 0:
+        sigma = np.linalg.svd(shifted, compute_uv=False)[-1]
+        raise SingularMatrixError(f"M - z is singular to working precision "
+                                  f"(smallest singular value {sigma:.3e})")
+    return float(logdet)
+
+
 def det_factorization_residual(op, z: complex, n_small: int) -> float:
     """Relative defect of ln|det(M - z)| = ln|det block| + ln|det corner|.
 
@@ -456,9 +486,9 @@ def det_factorization_residual(op, z: complex, n_small: int) -> float:
     if n_small == 0:
         return 0.0
     sol = grushin_solve(op, z, n_small)
-    ld_full = log_abs_det(op, z)
-    ld_block = log_abs_det(sol.block_matrix)
-    ld_corner = log_abs_det(sol.e_minus_plus)
+    ld_full = _lu_log_abs_det(_as_matrix(op), z)
+    ld_block = _lu_log_abs_det(sol.block_matrix)
+    ld_corner = _lu_log_abs_det(sol.e_minus_plus)
     defect = abs(ld_full - (ld_block + ld_corner))
     # ln|det| = 0 leaves nothing to be relative to: report the defect itself
     return defect / abs(ld_full) if ld_full != 0.0 else defect
@@ -536,41 +566,6 @@ def spectral_functional(op, chi: BumpFunction, alpha: float,
     return FunctionalResult(deriv_residual=abs(fd - exact))
 
 
-# inverse iteration for sigma_min(T - z): residual tolerance relative to the
-# Rayleigh quotient, and steps per point before the dense SVD takes over
-PSEUDO_TOL = 1e-10
-PSEUDO_STEPS = 100
-
-
-def pseudospectrum(form: SchurForm, z_grid: Sequence[complex]) -> list[float]:
-    """Smallest singular value of M - z per grid point, from M's Schur form.
-
-    Method (EigTool's; Trefethen, Acta Numerica 1999): M is factored once
-    into the complex Schur form M = Z T Z* (``schur``).  Singular values
-    are unitarily invariant, so sigma_min(M - z) = sigma_min(T - z) and Z
-    is never formed.  T is copied once; for each z the copy's diagonal is
-    set to diag(T) - z, and sigma_min(T - z) = rho^{-1/2} is found by
-    inverse iteration on B = ((T - z)* (T - z))^{-1}: two triangular
-    solves, O(N^2), per step, from a fixed start vector, so the output is
-    a pure function of the input.  A step stops once
-    ||B x - rho x|| <= PSEUDO_TOL * rho, where rho = x* B x and |x| = 1.
-    The iterates are rescaled by powers of 2, which is exact, so rho-sized
-    values are never squared and a tiny sigma_min needs no SVD.
-
-    Accuracy: each value agrees with a dense SVD of M - z to within
-    max(1e-10 * sigma_min, N * eps * ||M - z||_2); the second term is the
-    backward error of the Schur form.
-
-    Special cases:
-    - a diagonal entry of T - z that is exactly 0 gives 0.0;
-    - a point whose iteration overflows or does not pass the residual test
-      within PSEUDO_STEPS steps (clustered smallest singular values) is
-      evaluated by a dense SVD of T - z instead, and is NaN if that SVD
-      does not converge.
-    """
-    return singular_values(form, z_grid)
-
-
 @functools.cache
 def _start_vector(n: int) -> np.ndarray:
     """The fixed unit start vector of the inverse iteration, read-only."""
@@ -620,7 +615,7 @@ def _triangular_solver(t: np.ndarray, y: np.ndarray) -> Callable[[bool], None]:
 def _sigma_min_triangular(t: np.ndarray, x: np.ndarray, y: np.ndarray,
                           solve: Callable[[bool], None]) -> float:
     """sigma_min of the upper-triangular t from the start vector x, with
-    ``solve`` from ``_triangular_solver(t, y)``; see ``pseudospectrum``.
+    ``solve`` from ``_triangular_solver(t, y)``; see ``singular_values``.
 
     Each step scales y by a power of 2 sy ~ sigma and B x by a further
     power of 2 sb ~ sigma, so every vector is O(1) where unscaled ones are

@@ -497,7 +497,7 @@ class TestLogdetBand:
 
                 pot = sample_potential(plan, split_seed(31, i))
                 pd = build_perturbed(P, plan, pot)
-                devs.append(abs(log_abs_det(pd, z) - quad))
+                devs.append(abs(log_abs_det(schur(pd), z) - quad))
             rel_widths.append(max(devs) / abs(quad))
         assert rel_widths[1] <= rel_widths[0]
 

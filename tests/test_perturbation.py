@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torweyl.operators import GridParams, assemble_differential
+from torweyl.operators import GridParams, assemble_differential, truncation_grid
 from torweyl.perturbation import (
     EmptyBasisError,
     ParameterError,
@@ -17,7 +17,15 @@ from torweyl.perturbation import (
     sample_potential,
     split_seed,
 )
-from torweyl.symbols import SymbolSpec, TrigPoly
+from torweyl.symbols import (
+    BoundaryTube,
+    Rectangle,
+    SymbolSpec,
+    TrigPoly,
+    catalog_symbol,
+    certified_xi_bound,
+    kappa_floor,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -185,6 +193,29 @@ class TestBuildPerturbed:
         out = build_perturbed(self.P, plan, pot)
         diff = np.linalg.norm(out.entries - self.P.entries, ord=2)
         assert 0.05e-6 <= diff <= 1.5e-6
+
+    @pytest.mark.parametrize("h", [0.05, 0.02, 0.01])
+    def test_cap_hk_keeps_the_band_off_the_corners(self, h):
+        # configs/weyl_acceptance.cfg's plan: with l_cap = hK the added
+        # Toeplitz matrix has modes |k| <= K only, so it is exactly 0
+        # wherever |j - k| > K; at 2hK it reaches the corners
+        spec = catalog_symbol("xi2+exp(ix)")
+        region = Rectangle(0.05, 0.95, -0.55, 0.55)
+        grid = truncation_grid(h, certified_xi_bound(spec, BoundaryTube(region, 0.1)))
+        P = assemble_differential(spec, grid)
+        j = np.arange(grid.N)
+        off_band = np.abs(j[:, None] - j[None, :]) > grid.K
+        assert not P.entries[off_band].any()
+        added = {}
+        for cap in (1, 2):
+            plan = derive_params(n=1, s=2, epsilon=0.5, kappa=kappa_floor(spec),
+                                 h=h, mode="effective", delta_eff=1e-12,
+                                 l_cap=cap * h * grid.K)
+            pot = sample_potential(plan, split_seed(2024, 0))
+            added[cap] = build_perturbed(P, plan, pot).entries - P.entries
+        assert np.count_nonzero(added[1][off_band]) == 0
+        assert added[2][-1, 0] != 0 and added[2][0, -1] != 0
+
 
 
 class TestSeedSplitting:

@@ -17,6 +17,7 @@ import scipy.linalg
 from torweyl import spectral
 from torweyl.operators import (
     GridParams,
+    OperatorMatrix,
     assemble_differential,
     convolution_matrix,
     truncation_grid,
@@ -38,7 +39,6 @@ from torweyl.spectral import (
     eigenvalues,
     grushin_solve,
     log_abs_det,
-    pseudospectrum,
     schur,
     single_blas_thread,
     singular_values,
@@ -250,7 +250,7 @@ class TestSchur:
                     checked += 1
                     assert abs(sig - ref) <= eta
                     assert log_abs_det(form, z) == pytest.approx(
-                        log_abs_det(m, z), rel=1e-6)
+                        np.linalg.slogdet(a - z * np.eye(len(a)))[1], rel=1e-6)
         assert checked > 0
 
     @pytest.mark.parametrize("path", ["numpy-lapack", "scipy"])
@@ -260,7 +260,6 @@ class TestSchur:
         a = random_complex(rng, 40)
         form = schur(a)
         zs = [complex(x, y) for x in (-3.0, 0.0, 2.5) for y in (-1.0, 0.5)]
-        assert_matches_svd(a, zs, pseudospectrum(form, zs))
         assert_matches_svd(a, zs, singular_values(form, zs))
 
     def test_sigma_min_bits_are_the_same_on_both_paths(self, monkeypatch):
@@ -272,8 +271,7 @@ class TestSchur:
 
         def sigma_bits():
             with single_blas_thread():
-                return (np.array(singular_values(form, zs)).tobytes(),
-                        np.array(pseudospectrum(form, zs)).tobytes())
+                return np.array(singular_values(form, zs)).tobytes()
 
         numpy_bits = sigma_bits()
         use_path(monkeypatch, "scipy")
@@ -343,25 +341,47 @@ class TestSingularValues:
 
 class TestLogAbsDet:
     def test_identity(self):
-        assert log_abs_det(np.eye(4, dtype=complex)) == pytest.approx(0.0)
+        assert log_abs_det(schur(np.eye(4, dtype=complex)), 0.0) == pytest.approx(0.0)
 
     def test_diagonal(self):
-        assert log_abs_det(np.diag([2.0, 3.0]).astype(complex)) == pytest.approx(
-            math.log(6.0))
+        d = np.diag([2.0, 3.0]).astype(complex)
+        assert log_abs_det(schur(d), 0.0) == pytest.approx(math.log(6.0))
 
     def test_matches_singular_value_sum(self):
         rng = np.random.default_rng(5)
         a = random_complex(rng, 30)
         z = 1.0 + 0.2j
         rhs = float(np.sum(np.log(svd_ascending(a, z))))
-        assert log_abs_det(a, z) == pytest.approx(rhs, rel=1e-8)
         assert log_abs_det(schur(a), z) == pytest.approx(rhs, rel=1e-8)
 
     def test_singular_matrix_reports(self):
         a = np.diag([1.0, 0.0]).astype(complex)
-        for op in (a, schur(a)):
-            with pytest.raises(SingularMatrixError, match="singular value"):
-                log_abs_det(op)
+        with pytest.raises(SingularMatrixError, match="exact zero"):
+            log_abs_det(schur(a), 0.0)
+        # the identity checks' LU reports the smallest singular value
+        with pytest.raises(SingularMatrixError, match="singular value 0.000e"):
+            spectral._lu_log_abs_det(a)
+
+
+class TestReadersTakeOnlyAForm:
+    @pytest.mark.parametrize("plain", [False, True])
+    def test_matrix_raises_type_error(self, plain):
+        # an OperatorMatrix used to give its own diagonal as eigenvalues
+        m = OperatorMatrix(random_complex(np.random.default_rng(24), 5),
+                           GridParams(h=1.0, K=2))
+        op = m.entries if plain else m
+        for read in (eigenvalues, lambda op: singular_values(op, [0.1]),
+                     lambda op: log_abs_det(op, 0.1)):
+            with pytest.raises(TypeError, match="SchurForm"):
+                read(op)
+        form = schur(m)
+        assert np.array_equal(eigenvalues(form), np.diag(form.entries))
+        assert log_abs_det(form, 0.1) == float(
+            np.sum(np.log(np.abs(np.diag(form.entries) - 0.1))))
+
+    def test_no_shift_still_checks(self):
+        with pytest.raises(TypeError):
+            singular_values(np.eye(3, dtype=complex), [])
 
 
 class TestGrushin:
@@ -416,7 +436,7 @@ class TestDetFactorization:
     def test_zero_logdet_gives_absolute_defect(self):
         # ln 2 + ln 0.5 is exactly 0, so there is no scale to divide by
         m = np.diag([2.0, 0.5]).astype(complex)
-        assert log_abs_det(m, 0.0) == 0.0
+        assert np.linalg.slogdet(m)[1] == 0.0
         assert det_factorization_residual(m, 0.0, 1) <= 1e-14
 
     def test_random_well_conditioned(self):
@@ -502,7 +522,7 @@ class TestPseudospectrum:
     def test_normal_matrix_gives_distance(self):
         d = np.diag([1.0, 2.0, 3.0j]).astype(complex)
         zs = [0.0, 1.5, 2.0 + 1.0j]
-        got = pseudospectrum(schur(d), zs)
+        got = singular_values(schur(d), zs)
         for val, z in zip(got, zs):
             dist = min(abs(z - w) for w in (1.0, 2.0, 3.0j))
             assert val == pytest.approx(dist, abs=1e-12)
@@ -511,12 +531,12 @@ class TestPseudospectrum:
         rng = np.random.default_rng(13)
         a = random_complex(rng, 15)
         z1, z2 = 0.4 + 0.1j, 0.9 - 0.3j
-        v1, v2 = pseudospectrum(schur(a), [z1, z2])
+        v1, v2 = singular_values(schur(a), [z1, z2])
         assert abs(v1 - v2) <= abs(z1 - z2) + 1e-12
 
     def test_nilpotent_shift_value(self):
         m = np.eye(3, k=-1).astype(complex)
-        assert_matches_svd(m, [0.5], pseudospectrum(schur(m), [0.5]))
+        assert_matches_svd(m, [0.5], singular_values(schur(m), [0.5]))
 
     def test_random_non_normal_grid_through_spectrum(self):
         rng = np.random.default_rng(14)
@@ -524,24 +544,24 @@ class TestPseudospectrum:
         radius = float(np.max(np.abs(np.linalg.eigvals(a))))
         axis = np.linspace(-1.2 * radius, 1.2 * radius, 9)
         zs = [complex(x, y) for y in axis for x in axis]
-        assert_matches_svd(a, zs, pseudospectrum(schur(a), zs))
+        assert_matches_svd(a, zs, singular_values(schur(a), zs))
 
     def test_jordan_block(self):
         j = np.eye(12, k=1).astype(complex)
         axis = np.linspace(-1.3, 1.3, 7)
         zs = [complex(x, y) + 0.01 for y in axis for x in axis]
-        assert_matches_svd(j, zs, pseudospectrum(schur(j), zs))
+        assert_matches_svd(j, zs, singular_values(schur(j), zs))
 
     def test_tied_smallest_singular_value(self):
         # 0 and 0.2i are equidistant from the eigenvalues 1 and -1
         d = np.diag([1.0, -1.0, 3.0j, 4.0]).astype(complex)
-        got = pseudospectrum(schur(d), [0.0, 0.2j])
+        got = singular_values(schur(d), [0.0, 0.2j])
         assert_matches_svd(d, [0.0, 0.2j], got)
         assert got[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_shift_on_diagonal_entry_is_zero(self):
         t = np.triu(random_complex(np.random.default_rng(15), 6))
-        assert pseudospectrum(schur(t), [t[2, 2], t[2, 2] + 0.5])[0] == 0.0
+        assert singular_values(schur(t), [t[2, 2], t[2, 2] + 0.5])[0] == 0.0
 
     def test_non_finite_matrix_gives_nan(self):
         # schur refuses such a matrix; a form built around one takes the
@@ -550,7 +570,7 @@ class TestPseudospectrum:
         m[1, 2] = np.inf
         with pytest.raises(SolverError):
             schur(m)
-        got = pseudospectrum(SchurForm(np.asfortranarray(m), None), [0.0, 2.0])
+        got = singular_values(SchurForm(np.asfortranarray(m), None), [0.0, 2.0])
         assert len(got) == 2 and all(math.isnan(v) for v in got)
 
     @pytest.mark.parametrize("tiny", [1e-120, 1e-200])
@@ -561,7 +581,7 @@ class TestPseudospectrum:
         d[0, 1] = tiny
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = pseudospectrum(schur(d), [0.0, 0.5])
+            got = singular_values(schur(d), [0.0, 0.5])
         # sigma_min = tiny (1 - tiny^2 / 2 + ...)
         assert got[0] == pytest.approx(tiny, rel=1e-12, abs=0.0)
         assert_matches_svd(d, [0.5], got[1:])
@@ -572,15 +592,29 @@ class TestPseudospectrum:
         form = schur(a)
         monkeypatch.setattr(spectral, "schur", None)
         zs = [0.1, 0.2j]
-        assert_matches_svd(a, zs, pseudospectrum(form, zs))
+        assert_matches_svd(a, zs, singular_values(form, zs))
 
     def test_repeat_call_is_bit_identical(self):
         rng = np.random.default_rng(16)
         a = random_complex(rng, 30)
         zs = [complex(x, 0.3) for x in np.linspace(-5, 5, 11)]
         form = schur(a)
-        first = np.array(pseudospectrum(form, zs))
-        assert first.tobytes() == np.array(pseudospectrum(form, zs)).tobytes()
+        first = np.array(singular_values(form, zs))
+        assert first.tobytes() == np.array(singular_values(form, zs)).tobytes()
+
+
+class TestOpenblasKernel:
+    def test_names_the_kernel_of_numpys_openblas(self):
+        if spectral._numpy_blas() is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        kernel = spectral._openblas_kernel()
+        assert isinstance(kernel, str) and kernel
+
+    def test_none_where_the_lookup_finds_no_library(self, monkeypatch):
+        monkeypatch.setitem(spectral._OPENBLAS_COPIES, "numpy",
+                            ("no-such-openblas-*.so", "64_"))
+        assert spectral._loaded_openblas("numpy") is None
+        assert spectral._openblas_kernel() is None
 
 
 class TestSingleBlasThread:

@@ -9,9 +9,11 @@ checkout, for the ``run_seconds`` that the same file sets, and keeps the
 two lines it ends with, the environment record and the result, as it
 printed them (parsed, not edited).  Then it times the checkout's Tier-1
 suite (``python -m pytest -q --continue-on-collection-errors`` with
-``src`` on the path) and writes everything, with the checkout's commit and
+``src`` on the path) and writes everything, with the checkout's commit,
 whether its tree was clean (``git status`` succeeded and listed no change
-to a tracked file), to ``<out>/BENCH_<tag>.json`` (``out`` defaults to the
+to a tracked file) and the line count of its ``src/torweyl/*.py`` (which
+every fresh interpreter compiles, so a size change can be read beside
+``setup_s``), to ``<out>/BENCH_<tag>.json`` (``out`` defaults to the
 current directory).  Runs are sequential, one workload at a time; with one
 seed and 20 s per run, a record takes about 3 minutes on a 2-CPU VM.
 
@@ -63,6 +65,13 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     environment, result = done.stdout.strip().splitlines()[-2:]
     return {"command": cmd[1:], "stderr": done.stderr.strip().splitlines(),
             **json.loads(environment), "result": json.loads(result)}
+
+
+def source_lines(checkout: Path) -> int:
+    """Lines of the checkout's ``src/torweyl/*.py``, as
+    ``cat src/torweyl/*.py | wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "torweyl").glob("*.py"))
 
 
 def tier1(checkout: Path) -> dict:
@@ -185,6 +194,7 @@ def main(argv=None) -> int:
             "tag": tag,
             "commit": commit,
             "clean": commit is not None and status == "",
+            "src_lines": source_lines(path),
             "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "summary": summary(runs[tag], list(better)),
         }
